@@ -235,10 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("--format", choices=("csv", "arff"))
     compare.add_argument("--learners", default="nb")
-    compare.add_argument("--al", default="random,sampling,randvar")
-    compare.add_argument(
-        "--sl", default="fixed,uni,randuni,invunc,cddm,ceddm,winerr"
-    )
+    compare.add_argument("--al", default=",".join(GridSpec.active))
+    compare.add_argument("--sl", default=",".join(GridSpec.self_label))
     compare.add_argument("--budgets", default="0.01,0.05,0.10,0.20,0.50")
     compare.add_argument("--seeds", type=int, default=1, help="seed count")
     compare.add_argument("--window", type=int, default=1000)

@@ -1,4 +1,4 @@
-"""Error-rate drift detectors and the sliding-window error tracker.
+"""Error-rate drift detectors.
 
 Two classic detectors watch a stream of binary prediction outcomes and
 expose both a discrete level (stable / warning / change) and a
@@ -6,8 +6,6 @@ continuous reading: :class:`DdmDetector` tracks the running error rate
 and yields ``epsilon = p + s``; :class:`EddmDetector` tracks distances
 between consecutive errors and yields the similarity ratio
 ``zeta = (p' + 2s') / (p'_max + 2s'_max)`` clamped to [0.9, 1.0].
-:class:`WindowedErrorRate` is the plain last-``w``-outcomes error
-tracker whose ``epsilon`` mirrors the DDM form on the window.
 
 Both detectors run in continuous mode by default: a change signal
 resets the detector's own statistics so it can re-arm, and never
@@ -17,7 +15,6 @@ touches any classifier.
 from __future__ import annotations
 
 import math
-from collections import deque
 
 STABLE = "stable"
 WARNING = "warning"
@@ -161,45 +158,3 @@ class EddmDetector:
         if self._raw > 1.0:
             return 1.0
         return self._raw
-
-
-class WindowedErrorRate:
-    """Error rate over the last ``window`` outcomes.
-
-    ``epsilon`` is ``p_w + s_w`` with the same binomial deviation form
-    the running detector uses, computed over however many outcomes the
-    window currently holds; an empty window reads 0.
-    """
-
-    def __init__(self, window: int = 100):
-        if window < 1:
-            raise ValueError("window must hold at least one outcome")
-        self.window = int(window)
-        self._buf = deque(maxlen=self.window)
-        self._errors = 0
-
-    def reset(self):
-        self._buf.clear()
-        self._errors = 0
-        return self
-
-    def update(self, is_error):
-        if len(self._buf) == self.window:
-            self._errors -= self._buf[0]
-        e = 1 if is_error else 0
-        self._buf.append(e)
-        self._errors += e
-        return self
-
-    def error_rate(self) -> float:
-        m = len(self._buf)
-        if m == 0:
-            return 0.0
-        return self._errors / m
-
-    def epsilon(self) -> float:
-        m = len(self._buf)
-        if m == 0:
-            return 0.0
-        p = self._errors / m
-        return p + math.sqrt(p * (1.0 - p) / m)

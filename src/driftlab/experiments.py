@@ -10,6 +10,7 @@ result table instead of aborting the sweep.
 
 from __future__ import annotations
 
+import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -36,8 +37,8 @@ class GridSpec:
 
     streams: tuple
     learners: tuple = ("nb",)
-    active: tuple = ("random", "sampling", "randvar")
-    self_label: tuple = ("fixed", "uni", "randuni", "invunc", "cddm", "ceddm", "winerr")
+    active: tuple = tuple(ACTIVE)
+    self_label: tuple = tuple(name for name, make in SELF_LABEL.items() if make)
     budgets: tuple = (0.01, 0.05, 0.10, 0.20, 0.50)
     seeds: tuple = (0,)
     base_active: str = "randvar"
@@ -48,20 +49,24 @@ class GridSpec:
             raise ConfigError("grid needs at least one stream")
         if not self.seeds:
             raise ConfigError("grid needs at least one seed")
-        for learner in self.learners:
-            if learner not in LEARNERS:
-                raise ConfigError(f"unknown learner {learner!r}")
-        for strategy in self.active:
-            if strategy not in ACTIVE:
-                raise ConfigError(f"unknown active strategy {strategy!r}")
-        for strategy in self.self_label:
-            if strategy not in SELF_LABEL or strategy == "none":
-                raise ConfigError(f"unknown self-label strategy {strategy!r}")
-        if self.base_active not in ACTIVE:
-            raise ConfigError(f"unknown active strategy {self.base_active!r}")
+        for kind, names, registry in (
+            ("learner", self.learners, LEARNERS),
+            ("active strategy", (*self.active, self.base_active), ACTIVE),
+            ("self-label strategy", self.self_label, SELF_LABEL),
+        ):
+            for name in names:
+                if registry.get(name) is None:
+                    raise ConfigError(f"unknown {kind} {name!r}")
         for budget in self.budgets:
             if not 0.0 <= budget <= 1.0:
                 raise ConfigError("budgets must lie in [0, 1]")
+        names = [stream.name for stream in self.streams]
+        for name in names:
+            if names.count(name) > 1:
+                raise ConfigError(
+                    f"two streams are named {name!r}; give each its own"
+                    " name= (for files, rename one)"
+                )
 
 
 def grid_rows(spec: GridSpec) -> list:
@@ -92,10 +97,11 @@ _stream_cache: dict = {}
 
 
 def _load_stream(spec: StreamSpec, seed: int):
+    # keyed on the full description, since display names can collide;
     # generator specs without a pinned seed produce one stream per run
-    # seed; everything else is shared across the grid
+    # seed, everything else is shared across the grid
     pinned = spec.generator is None or spec.generator.get("seed") is not None
-    key = (spec.name, None if pinned else seed)
+    key = (json.dumps(spec.describe(), sort_keys=True), None if pinned else seed)
     stream = _stream_cache.get(key)
     if stream is None:
         stream = spec.load(seed_fallback=seed)
@@ -161,20 +167,6 @@ def run_grid(spec: GridSpec, jobs: int = 1) -> GridResult:
     for i, row in enumerate(rows):
         chunk = outcomes[i * n_seeds : (i + 1) * n_seeds]
         errors = [e for _, _, e in chunk if e is not None]
-        if errors:
-            cells.append(
-                CellResult(
-                    stream=row.stream.name,
-                    learner=row.learner,
-                    strategy=row.strategy,
-                    hybrid=row.self_label != "none",
-                    budget=row.budget,
-                    accuracy=0.0,
-                    seeds=n_seeds,
-                    error=errors[0],
-                )
-            )
-            continue
         cells.append(
             CellResult(
                 stream=row.stream.name,
@@ -182,9 +174,10 @@ def run_grid(spec: GridSpec, jobs: int = 1) -> GridResult:
                 strategy=row.strategy,
                 hybrid=row.self_label != "none",
                 budget=row.budget,
-                accuracy=sum(a for a, _, _ in chunk) / n_seeds,
-                spend=sum(s for _, s, _ in chunk) / n_seeds,
+                accuracy=0.0 if errors else sum(a for a, _, _ in chunk) / n_seeds,
+                spend=0.0 if errors else sum(s for _, s, _ in chunk) / n_seeds,
                 seeds=n_seeds,
+                error=errors[0] if errors else None,
             )
         )
     return GridResult(report=build_report(cells), cells=cells, runs=len(tasks))

@@ -13,24 +13,23 @@ query fires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import ConfigError, DriftLabError, Instance, LoadedStream, StreamSchema
 from .active import RandomizedVariableUncertainty, RandomQuery, SamplingQuery
-from .drift import DdmDetector, EddmDetector, WindowedErrorRate
+from .drift import DdmDetector, EddmDetector
 from .evaluation import PrequentialWindow
 from .learners import AccuracyWeightedEnsemble, HoeffdingTree, NaiveBayes
 from .selflabel import (
-    AdaptiveConfidence,
-    ErrorScaledConfidence,
     Feedback,
     FixedConfidence,
-    InvertedUncertainty,
+    InformedConfidence,
     RandomizedAdaptiveConfidence,
-    SimilarityScaledConfidence,
-    WindowScaledConfidence,
+    error_scaled_threshold,
+    inverted_uncertainty_threshold,
+    similarity_scaled_threshold,
 )
 
 QUERIED = "queried"
@@ -62,18 +61,32 @@ class BudgetState:
         return self.spend < self.budget
 
 
-LEARNERS = ("nb", "ht", "awe")
-ACTIVE = ("random", "sampling", "randvar")
-SELF_LABEL = (
-    "none",
-    "fixed",
-    "uni",
-    "randuni",
-    "invunc",
-    "cddm",
-    "ceddm",
-    "winerr",
-)
+# One name -> factory registry per component kind. Validation, CLI
+# choices and grid defaults all read these; adding a component means
+# adding one entry here.
+LEARNERS = {
+    "nb": lambda schema, seed: NaiveBayes(schema),
+    "ht": lambda schema, seed: HoeffdingTree(schema, seed=seed),
+    "awe": lambda schema, seed: AccuracyWeightedEnsemble(schema),
+}
+ACTIVE = {
+    "random": lambda budget, rng: RandomQuery(budget, rng=rng),
+    "sampling": lambda budget, rng: SamplingQuery(rng=rng),
+    "randvar": lambda budget, rng: RandomizedVariableUncertainty(rng=rng),
+}
+SELF_LABEL = {
+    "none": None,
+    "fixed": lambda rng: FixedConfidence(),
+    # zero jitter walks the plain adaptive bar exactly
+    "uni": lambda rng: RandomizedAdaptiveConfidence(noise=0.0, rng=rng),
+    "randuni": lambda rng: RandomizedAdaptiveConfidence(rng=rng),
+    "invunc": lambda rng: InformedConfidence(
+        "query_threshold", inverted_uncertainty_threshold
+    ),
+    "cddm": lambda rng: InformedConfidence("error_estimate", error_scaled_threshold),
+    "ceddm": lambda rng: InformedConfidence("similarity", similarity_scaled_threshold),
+    "winerr": lambda rng: InformedConfidence("windowed_error", error_scaled_threshold),
+}
 
 
 @dataclass(frozen=True)
@@ -88,20 +101,15 @@ class HybridConfig:
     window: int = 1000
 
     def __post_init__(self):
-        if self.learner not in LEARNERS:
-            raise ConfigError(
-                f"unknown learner {self.learner!r}; choose from {', '.join(LEARNERS)}"
-            )
-        if self.active not in ACTIVE:
-            raise ConfigError(
-                f"unknown active strategy {self.active!r};"
-                f" choose from {', '.join(ACTIVE)}"
-            )
-        if self.self_label not in SELF_LABEL:
-            raise ConfigError(
-                f"unknown self-label strategy {self.self_label!r};"
-                f" choose from {', '.join(SELF_LABEL)}"
-            )
+        for kind, name, registry in (
+            ("learner", self.learner, LEARNERS),
+            ("active strategy", self.active, ACTIVE),
+            ("self-label strategy", self.self_label, SELF_LABEL),
+        ):
+            if name not in registry:
+                raise ConfigError(
+                    f"unknown {kind} {name!r}; choose from {', '.join(registry)}"
+                )
         if not 0.0 <= self.budget <= 1.0:
             raise ConfigError("budget must lie in [0, 1]")
         if self.window < 1:
@@ -113,54 +121,7 @@ class HybridConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "learner": self.learner,
-            "active": self.active,
-            "self_label": self.self_label,
-            "budget": self.budget,
-            "seed": self.seed,
-            "window": self.window,
-        }
-
-
-def make_learner(name: str, schema: StreamSchema, seed: int):
-    if name == "nb":
-        return NaiveBayes(schema)
-    if name == "ht":
-        return HoeffdingTree(schema, seed=seed)
-    if name == "awe":
-        return AccuracyWeightedEnsemble(schema)
-    raise ConfigError(f"unknown learner {name!r}")
-
-
-def make_active(name: str, budget: float, rng):
-    if name == "random":
-        return RandomQuery(budget, rng=rng)
-    if name == "sampling":
-        return SamplingQuery(rng=rng)
-    if name == "randvar":
-        return RandomizedVariableUncertainty(rng=rng)
-    raise ConfigError(f"unknown active strategy {name!r}")
-
-
-def make_self_label(name: str, rng):
-    if name == "none":
-        return None
-    if name == "fixed":
-        return FixedConfidence()
-    if name == "uni":
-        return AdaptiveConfidence()
-    if name == "randuni":
-        return RandomizedAdaptiveConfidence(rng=rng)
-    if name == "invunc":
-        return InvertedUncertainty()
-    if name == "cddm":
-        return ErrorScaledConfidence()
-    if name == "ceddm":
-        return SimilarityScaledConfidence()
-    if name == "winerr":
-        return WindowScaledConfidence()
-    raise ConfigError(f"unknown self-label strategy {name!r}")
+        return asdict(self)
 
 
 class StepRecord:
@@ -212,17 +173,7 @@ class RunSummary:
     max_budget_overshoot: float
 
     def to_dict(self) -> dict:
-        return {
-            "stream": self.stream,
-            "instances": self.instances,
-            "accuracy": self.accuracy,
-            "final_spend": self.final_spend,
-            "queried": self.queried,
-            "self_labeled": self.self_labeled,
-            "skipped": self.skipped,
-            "mean_windowed_accuracy": self.mean_windowed_accuracy,
-            "max_budget_overshoot": self.max_budget_overshoot,
-        }
+        return asdict(self)
 
 
 class HybridRunner:
@@ -241,7 +192,7 @@ class HybridRunner:
         self.evaluation = PrequentialWindow(window)
         self.error_monitor = DdmDetector()
         self.distance_monitor = EddmDetector()
-        self.error_window = WindowedErrorRate(window=100)
+        self.error_window = PrequentialWindow(100)
         self.max_overshoot = 0.0
         self.correct_total = 0
         self.queried = 0
@@ -348,13 +299,14 @@ class HybridRunner:
 
 
 def build_runner(schema: StreamSchema, config: HybridConfig) -> HybridRunner:
-    learner = make_learner(config.learner, schema, config.seed)
-    active = make_active(
-        config.active, config.budget, np.random.default_rng([config.seed, 0])
+    learner = LEARNERS[config.learner](schema, config.seed)
+    active = ACTIVE[config.active](
+        config.budget, np.random.default_rng([config.seed, 0])
     )
-    self_label = make_self_label(
-        config.self_label, np.random.default_rng([config.seed, 1])
-    )
+    factory = SELF_LABEL[config.self_label]
+    self_label = None
+    if factory is not None:
+        self_label = factory(np.random.default_rng([config.seed, 1]))
     return HybridRunner(
         schema, learner, active, self_label, config.budget, config.window
     )

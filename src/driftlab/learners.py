@@ -586,7 +586,6 @@ class AccuracyWeightedEnsemble:
         schema: StreamSchema,
         chunk_size: int = 500,
         capacity: int = 10,
-        member_factory=None,
     ):
         if chunk_size < 1:
             raise ConfigError("chunk size must be at least 1")
@@ -595,7 +594,6 @@ class AccuracyWeightedEnsemble:
         self.schema = schema
         self.chunk_size = int(chunk_size)
         self.capacity = int(capacity)
-        self._factory = member_factory or (lambda: NaiveBayes(schema))
         self.reset()
 
     def reset(self):
@@ -614,30 +612,17 @@ class AccuracyWeightedEnsemble:
 
     def _finish_chunk(self):
         chunk = self._buffer
-        fresh = self._factory()
+        fresh = NaiveBayes(self.schema)
         for features, label in chunk:
             fresh.train(features, label)
         self.members.append([fresh, 0.0])
         inv = 1.0 / len(chunk)
         for member in self.members:
-            learner = member[0]
-            predict_top = getattr(learner, "predict_top", None)
+            predict_top = member[0].predict_top
             correct = 0
-            if predict_top is not None:
-                for features, label in chunk:
-                    if predict_top(features) == label:
-                        correct += 1
-            else:
-                for features, label in chunk:
-                    probs = learner.predict_probs(features)
-                    top = 0
-                    best = probs[0]
-                    for i in range(1, len(probs)):
-                        if probs[i] > best:
-                            best = probs[i]
-                            top = i
-                    if top == label:
-                        correct += 1
+            for features, label in chunk:
+                if predict_top(features) == label:
+                    correct += 1
             member[1] = correct * inv
         if len(self.members) > self.capacity:
             weights = [m[1] for m in self.members]

@@ -103,44 +103,14 @@ class FixedConfidence:
         return SelfLabelDecision(posterior.top_prob >= self.confidence, self.confidence)
 
 
-class AdaptiveConfidence:
-    """Self-adjusting confidence bar.
-
-    Every accepted self-label raises the bar by the step factor and
-    every rejection lowers it, clamped to [1/classes, 1], so acceptance
-    stays occasional rather than runaway.
-    """
-
-    def __init__(self, step: float = 0.01):
-        if not 0.0 < step <= 1.0:
-            raise ConfigError("confidence step must lie in (0, 1]")
-        self.step = float(step)
-        self.confidence = 1.0
-
-    def decide(self, posterior: ClassPosterior, feedback: Feedback) -> SelfLabelDecision:
-        bar = self.confidence
-        if posterior.top_prob >= bar:
-            train = True
-            updated = bar * (1.0 + self.step)
-        else:
-            train = False
-            updated = bar * (1.0 - self.step)
-        floor = 1.0 / len(posterior.probs)
-        if updated < floor:
-            updated = floor
-        elif updated > 1.0:
-            updated = 1.0
-        self.confidence = updated
-        return SelfLabelDecision(train, bar)
-
-
 class RandomizedAdaptiveConfidence:
     """Adaptive confidence bar with multiplicative Gaussian jitter.
 
     Draws one factor per decision, compares the top posterior against
     the jittered bar, and adjusts the underlying bar according to the
-    jittered outcome. ``noise=0`` reproduces the plain adaptive rule
-    draw for draw.
+    jittered outcome. ``noise=0`` gives the plain adaptive rule: every
+    accepted self-label raises the bar by the step factor and every
+    rejection lowers it, clamped to [1/classes, 1].
     """
 
     def __init__(self, step: float = 0.01, noise: float = 1.0, rng=None):
@@ -171,44 +141,27 @@ class RandomizedAdaptiveConfidence:
         return SelfLabelDecision(train, randomized)
 
 
-class InvertedUncertainty:
-    """Accepts what the adaptive query strategy has stopped asking about.
+class InformedConfidence:
+    """Confidence bar mapped from one published feedback signal.
 
-    Requires an active strategy that publishes its adaptive threshold;
-    pairing it with one that does not is a configuration error.
+    ``field`` names the :class:`Feedback` attribute to read and
+    ``threshold_fn(signal, class_count)`` maps it to the bar. A signal the
+    run loop does not publish (None) is a configuration error: the
+    query threshold, for one, exists only under an adaptive query
+    strategy.
     """
 
+    def __init__(self, field: str, threshold_fn):
+        self.field = field
+        self.threshold_fn = threshold_fn
+
     def decide(self, posterior: ClassPosterior, feedback: Feedback) -> SelfLabelDecision:
-        if feedback.query_threshold is None:
+        signal = getattr(feedback, self.field)
+        if signal is None:
             raise ConfigError(
-                "inverted-uncertainty self-labeling needs an adaptive query"
-                " threshold; pair it with the variable-uncertainty strategy"
+                f"self-labeling on {self.field!r} needs a run loop that"
+                " publishes it; pair query-threshold self-labeling with the"
+                " variable-uncertainty strategy"
             )
-        bar = inverted_uncertainty_threshold(
-            feedback.query_threshold, feedback.class_count
-        )
-        return SelfLabelDecision(posterior.top_prob >= bar, bar)
-
-
-class ErrorScaledConfidence:
-    """Confidence bar driven by the drift detector's error estimate."""
-
-    def decide(self, posterior: ClassPosterior, feedback: Feedback) -> SelfLabelDecision:
-        bar = error_scaled_threshold(feedback.error_estimate, feedback.class_count)
-        return SelfLabelDecision(posterior.top_prob >= bar, bar)
-
-
-class SimilarityScaledConfidence:
-    """Confidence bar driven by the distance-based detector's similarity."""
-
-    def decide(self, posterior: ClassPosterior, feedback: Feedback) -> SelfLabelDecision:
-        bar = similarity_scaled_threshold(feedback.similarity, feedback.class_count)
-        return SelfLabelDecision(posterior.top_prob >= bar, bar)
-
-
-class WindowScaledConfidence:
-    """Confidence bar driven by the sliding-window error rate."""
-
-    def decide(self, posterior: ClassPosterior, feedback: Feedback) -> SelfLabelDecision:
-        bar = error_scaled_threshold(feedback.windowed_error, feedback.class_count)
+        bar = self.threshold_fn(signal, feedback.class_count)
         return SelfLabelDecision(posterior.top_prob >= bar, bar)

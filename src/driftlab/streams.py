@@ -15,6 +15,7 @@ experiment grid, which may replay one spec across many worker runs.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -47,7 +48,8 @@ class UnknownNominalValue(DriftLabError):
 
 
 def _parse_numeric(cell):
-    """Numeric cell parse; blanks, ``?`` and unparseable text become MISSING."""
+    """Numeric cell parse; blanks, ``?``, unparseable text and non-finite
+    numbers become MISSING."""
     cell = cell.strip()
     if cell in ("", "?"):
         return MISSING
@@ -55,7 +57,7 @@ def _parse_numeric(cell):
         value = float(cell)
     except ValueError:
         return MISSING
-    if value != value:  # NaN would poison likelihoods downstream
+    if not math.isfinite(value):  # NaN or inf would poison likelihoods downstream
         return MISSING
     return value
 
@@ -130,16 +132,6 @@ def read_csv(path, schema: StreamSchema | None = None, has_header="auto", name=N
                 label = schema.class_index(row[-1].strip())
                 return Instance(tuple(feats), label)
 
-            row_no = 1 if header_names is None else 2
-            if first is not None:
-                instances.append(parse_row(first, row_no))
-                row_no += 1
-            for row in rows:
-                if not row:
-                    continue
-                instances.append(parse_row(row, row_no))
-                row_no += 1
-            out_schema = schema
         else:
             class_ids: dict[str, int] = {}
             n_attrs = None
@@ -159,15 +151,18 @@ def read_csv(path, schema: StreamSchema | None = None, has_header="auto", name=N
                 label = class_ids.setdefault(cls, len(class_ids))
                 return Instance(feats, label)
 
-            row_no = 1 if header_names is None else 2
-            if first is not None:
-                instances.append(parse_row(first, row_no))
-                row_no += 1
-            for row in rows:
-                if not row:
-                    continue
-                instances.append(parse_row(row, row_no))
-                row_no += 1
+        row_no = 1 if header_names is None else 2
+        if first is not None:
+            instances.append(parse_row(first, row_no))
+            row_no += 1
+        for row in rows:
+            if not row:
+                continue
+            instances.append(parse_row(row, row_no))
+            row_no += 1
+
+        out_schema = schema
+        if schema is None:
             if n_attrs is None:
                 raise SchemaMismatch(f"{path}: no data rows to infer a schema from")
             if header_names is not None and len(header_names) == n_attrs + 1:

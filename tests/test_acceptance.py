@@ -31,11 +31,9 @@ from driftlab.hybrid import (
     SELF_LABEL,
     HybridConfig,
     build_runner,
-    make_learner,
     run_stream,
 )
 from driftlab.selflabel import (
-    AdaptiveConfidence,
     Feedback,
     RandomizedAdaptiveConfidence,
     error_scaled_threshold,
@@ -64,9 +62,7 @@ def _run_monitored(runner, instances, bound_violations, key):
     active = runner.active
     watch_theta = isinstance(active, RandomizedVariableUncertainty)
     gamma_source = runner.self_label
-    if not isinstance(
-        gamma_source, (AdaptiveConfidence, RandomizedAdaptiveConfidence)
-    ):
+    if not isinstance(gamma_source, RandomizedAdaptiveConfidence):
         gamma_source = None
     floor = 1.0 / runner.schema.class_count
     process = runner.process_instance
@@ -393,15 +389,19 @@ def test_06_adaptive_thresholds_bounded_and_jitter_free_equivalence(sweep):
 
     # and the randomized confidence rule must walk the adaptive one
     randomized = RandomizedAdaptiveConfidence(noise=0.0, rng=np.random.default_rng(2))
-    plain = AdaptiveConfidence()
     feedback = Feedback(class_count=2)
+    gamma = 1.0
     for top in tops:
         posterior = ClassPosterior([top, 1.0 - top])
-        a = randomized.decide(posterior, feedback)
-        b = plain.decide(posterior, feedback)
-        assert a.train == b.train
-        assert a.threshold == b.threshold
-        assert randomized.confidence == plain.confidence
+        decision = randomized.decide(posterior, feedback)
+        assert decision.train == (top >= gamma)
+        assert decision.threshold == gamma
+        if decision.train:
+            gamma *= 1.0 + randomized.step
+        else:
+            gamma *= 1.0 - randomized.step
+        gamma = min(1.0, max(0.5, gamma))
+        assert randomized.confidence == gamma
 
 
 def test_07_hybrid_gain_at_five_percent_budget(calibration):
@@ -446,7 +446,7 @@ def test_08_learners_master_separable_stream():
         assert records[-1].windowed_accuracy >= 0.95, learner
 
     for name in ("nb", "ht", "awe"):
-        model = make_learner(name, stream.schema, seed=0)
+        model = LEARNERS[name](stream.schema, 0)
         assert model.predict((0.0, 0.0)).probs == [0.5, 0.5], name
 
 

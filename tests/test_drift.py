@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftlab.core import ConfigError
 from driftlab.drift import (
     CHANGE,
     STABLE,
     WARNING,
     DdmDetector,
     EddmDetector,
-    WindowedErrorRate,
 )
+from driftlab.evaluation import PrequentialWindow
 
 
 def feed(detector, outcomes):
@@ -274,60 +275,57 @@ class TestEddm:
 
 
 class TestWindowedErrorRate:
+    """The runner's error window that feeds ``winerr``: a
+    :class:`PrequentialWindow` over the outcomes of bought labels."""
+
     def test_reference_window(self):
-        w = WindowedErrorRate(window=4)
+        w = PrequentialWindow(window=4)
         for o in (1, 0, 1, 0):
             w.update(o)
         assert w.error_rate() == 0.5
-        assert w.epsilon() == pytest.approx(0.75)
 
     def test_all_correct_window_is_zero(self):
-        w = WindowedErrorRate(window=4)
+        w = PrequentialWindow(window=4)
         for _ in range(4):
             w.update(False)
-        assert w.epsilon() == 0.0
+        assert w.error_rate() == 0.0
 
     def test_empty_window_is_zero(self):
-        w = WindowedErrorRate()
-        assert w.epsilon() == 0.0
+        w = PrequentialWindow(100)
         assert w.error_rate() == 0.0
 
     def test_eviction(self):
-        w = WindowedErrorRate(window=3)
+        w = PrequentialWindow(window=3)
         for o in (1, 0, 0, 0):
             w.update(o)
         # the leading error has been evicted
         assert w.error_rate() == 0.0
 
     def test_partial_window_uses_current_length(self):
-        w = WindowedErrorRate(window=100)
+        w = PrequentialWindow(window=100)
         w.update(True)
         w.update(False)
         assert w.error_rate() == 0.5
-        assert w.epsilon() == pytest.approx(0.5 + math.sqrt(0.25 / 2))
 
     def test_window_must_be_positive(self):
-        with pytest.raises(ValueError):
-            WindowedErrorRate(window=0)
+        with pytest.raises(ConfigError):
+            PrequentialWindow(window=0)
 
     def test_reset(self):
-        w = WindowedErrorRate(window=5)
+        w = PrequentialWindow(window=5)
         w.update(True)
         w.reset()
-        assert w.epsilon() == 0.0
+        assert w.error_rate() == 0.0
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.booleans(), min_size=1, max_size=300), st.integers(1, 50))
 def test_windowed_error_matches_brute_force(outcomes, window):
-    w = WindowedErrorRate(window=window)
+    w = PrequentialWindow(window=window)
     for i, o in enumerate(outcomes):
         w.update(o)
         tail = outcomes[max(0, i + 1 - window) : i + 1]
-        m = len(tail)
-        p = sum(tail) / m
-        assert w.error_rate() == pytest.approx(p, abs=1e-12)
-        assert w.epsilon() == pytest.approx(p + math.sqrt(p * (1 - p) / m), abs=1e-12)
+        assert w.error_rate() == pytest.approx(sum(tail) / len(tail), abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

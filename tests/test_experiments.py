@@ -8,6 +8,7 @@ from driftlab.experiments import (
     resolve_jobs,
     run_grid,
 )
+from driftlab.hybrid import HybridConfig, run_stream
 from driftlab.streams import parse_stream_spec
 
 
@@ -42,6 +43,11 @@ class TestGridSpec:
             GridSpec(streams=(stream,), base_active="bayes")
         with pytest.raises(ConfigError):
             GridSpec(streams=(stream,), budgets=(1.5,))
+
+    def test_streams_differing_only_in_seed_need_names(self):
+        # both specs get the default name gaussian-clusters-sudden-60
+        with pytest.raises(ConfigError, match="name="):
+            GridSpec(streams=(tiny_stream(seed=1), tiny_stream(seed=2)))
 
 
 class TestGridRows:
@@ -168,6 +174,29 @@ class TestRunGrid:
         result = run_grid(spec)
         assert result.cells[0].seeds == 4
         assert result.runs == 4
+
+    def test_distinct_names_give_distinct_streams(self):
+        spec = GridSpec(
+            streams=(tiny_stream(n=300, seed=1, name="a"), tiny_stream(n=300, seed=2, name="b")),
+            active=("random",),
+            self_label=(),
+            budgets=(1.0,),
+        )
+        first, second = run_grid(spec).cells
+        assert (first.stream, second.stream) == ("a", "b")
+        assert first.accuracy != second.accuracy
+
+    def test_reused_name_does_not_reuse_stream(self):
+        # one display name, two different specs, two successive grids
+        for seed in (1, 2):
+            spec = tiny_stream(n=300, seed=seed, name="same")
+            grid = GridSpec(
+                streams=(spec,), active=("random",), self_label=(), budgets=(1.0,)
+            )
+            (cell,) = run_grid(grid).cells
+            config = HybridConfig(learner="nb", active="random", budget=1.0)
+            _, direct = run_stream(spec.load(), config)
+            assert cell.accuracy == direct.accuracy, seed
 
     def test_report_aggregates_present(self):
         spec = GridSpec(

@@ -21,9 +21,6 @@ from driftlab.hybrid import (
     HybridRunner,
     StepRecord,
     build_runner,
-    make_active,
-    make_learner,
-    make_self_label,
     run_stream,
 )
 from driftlab.selflabel import SelfLabelDecision
@@ -133,9 +130,9 @@ class TestBudgetState:
 
 class TestHybridConfig:
     def test_registry_contents(self):
-        assert LEARNERS == ("nb", "ht", "awe")
-        assert ACTIVE == ("random", "sampling", "randvar")
-        assert SELF_LABEL == (
+        assert tuple(LEARNERS) == ("nb", "ht", "awe")
+        assert tuple(ACTIVE) == ("random", "sampling", "randvar")
+        assert tuple(SELF_LABEL) == (
             "none",
             "fixed",
             "uni",
@@ -173,16 +170,17 @@ class TestHybridConfig:
         assert HybridConfig(**config.to_dict()) == config
 
     def test_factories_cover_registries(self):
-        for name in LEARNERS:
-            make_learner(name, SCHEMA, seed=0)
+        for make in LEARNERS.values():
+            make(SCHEMA, 0)
         rng = np.random.default_rng(0)
-        for name in ACTIVE:
-            make_active(name, 0.1, rng)
-        assert make_self_label("none", rng) is None
-        for name in SELF_LABEL[1:]:
-            assert make_self_label(name, rng) is not None
-        with pytest.raises(ConfigError):
-            make_learner("other", SCHEMA, 0)
+        for make in ACTIVE.values():
+            make(0.1, rng)
+        assert SELF_LABEL["none"] is None
+        for name, make in SELF_LABEL.items():
+            if name != "none":
+                assert make(rng) is not None
+        with pytest.raises(ConfigError, match="choose from nb, ht, awe"):
+            HybridConfig(learner="other", active="randvar")
 
 
 class TestProcessOrdering:

@@ -5,19 +5,28 @@ import pytest
 from hypothesis import given, strategies as st
 
 from driftlab.core import ClassPosterior, ConfigError
+from driftlab.hybrid import SELF_LABEL
 from driftlab.selflabel import (
-    AdaptiveConfidence,
-    ErrorScaledConfidence,
     Feedback,
     FixedConfidence,
-    InvertedUncertainty,
+    InformedConfidence,
     RandomizedAdaptiveConfidence,
-    SimilarityScaledConfidence,
-    WindowScaledConfidence,
     error_scaled_threshold,
     inverted_uncertainty_threshold,
     similarity_scaled_threshold,
 )
+
+
+def adaptive(step=0.01):
+    """The ``uni`` policy: the adaptive bar with its jitter switched off."""
+    return RandomizedAdaptiveConfidence(
+        step=step, noise=0.0, rng=np.random.default_rng(0)
+    )
+
+
+def informed(name):
+    """An informed policy as the run loop builds it."""
+    return SELF_LABEL[name](np.random.default_rng(0))
 
 
 def posterior(top, n_classes=2):
@@ -134,13 +143,13 @@ class TestFixedConfidence:
 
 class TestAdaptiveConfidence:
     def test_starts_fully_strict(self):
-        strat = AdaptiveConfidence()
+        strat = adaptive()
         assert strat.confidence == 1.0
         # only a fully certain prediction clears a bar of 1
         assert not strat.decide(posterior(0.9999), Feedback()).train
 
     def test_accept_raises_bar_reject_lowers(self):
-        strat = AdaptiveConfidence(step=0.01)
+        strat = adaptive(step=0.01)
         strat.confidence = 0.9
         d = strat.decide(posterior(0.95), Feedback())
         assert d.train
@@ -152,7 +161,7 @@ class TestAdaptiveConfidence:
         assert strat.confidence == pytest.approx(0.891)
 
     def test_matches_hand_loop(self):
-        strat = AdaptiveConfidence(step=0.01)
+        strat = adaptive(step=0.01)
         rng = np.random.default_rng(3)
         bar = 1.0
         for _ in range(2000):
@@ -165,7 +174,7 @@ class TestAdaptiveConfidence:
             assert strat.confidence == bar
 
     def test_clamps_to_class_floor(self):
-        strat = AdaptiveConfidence(step=0.5)
+        strat = adaptive(step=0.5)
         weak = ClassPosterior([0.25, 0.25, 0.25, 0.25])
         for _ in range(20):
             strat.decide(weak, Feedback())
@@ -174,12 +183,12 @@ class TestAdaptiveConfidence:
         assert strat.decide(weak, Feedback()).train
 
     def test_never_reads_feedback(self):
-        strat = AdaptiveConfidence()
+        strat = adaptive()
         strat.decide(posterior(0.7), ExplodingFeedback())
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            AdaptiveConfidence(step=0.0)
+            RandomizedAdaptiveConfidence(step=0.0)
 
 
 class TestRandomizedAdaptiveConfidence:
@@ -206,19 +215,22 @@ class TestRandomizedAdaptiveConfidence:
         assert strat.confidence == 1.0  # 1.01 clamps back
 
     def test_zero_noise_matches_plain_adaptive(self):
+        # zero jitter must walk the plain adaptive rule step for step,
+        # clamped to the three-class floor of 1/3
         randomized = RandomizedAdaptiveConfidence(
             step=0.01, noise=0.0, rng=np.random.default_rng(0)
         )
-        plain = AdaptiveConfidence(step=0.01)
         rng = np.random.default_rng(17)
         fb = Feedback()
+        bar = 1.0
         for _ in range(2000):
-            p = posterior(rng.uniform(1 / 3, 1.0), n_classes=3)
-            a = randomized.decide(p, fb)
-            b = plain.decide(p, fb)
-            assert a.train == b.train
-            assert a.threshold == b.threshold
-            assert randomized.confidence == plain.confidence
+            top = rng.uniform(1 / 3, 1.0)
+            d = randomized.decide(posterior(top, n_classes=3), fb)
+            assert d.train == (top >= bar)
+            assert d.threshold == bar
+            bar *= 1.01 if d.train else 0.99
+            bar = min(1.0, max(1 / 3, bar))
+            assert randomized.confidence == bar
 
     def test_acceptance_rate_matches_gaussian_tail(self):
         # fresh bar of 1 and top 0.8: accept iff eta <= 0.8, so the rate
@@ -257,19 +269,24 @@ class TestRandomizedAdaptiveConfidence:
 
 class TestInformedStrategies:
     def test_inverted_uncertainty_boundary(self):
-        strat = InvertedUncertainty()
+        strat = informed("invunc")
         fb = Feedback(query_threshold=0.65, class_count=2)
         assert strat.decide(posterior(0.85), fb).train
         assert not strat.decide(posterior(0.8499), fb).train
         assert strat.decide(posterior(0.9), fb).threshold == pytest.approx(0.85)
 
     def test_inverted_uncertainty_needs_published_threshold(self):
-        strat = InvertedUncertainty()
+        strat = informed("invunc")
         with pytest.raises(ConfigError):
             strat.decide(posterior(0.9), Feedback(query_threshold=None))
 
+    def test_unpublished_signal_is_config_error(self):
+        strat = InformedConfidence("similarity", similarity_scaled_threshold)
+        with pytest.raises(ConfigError, match="similarity"):
+            strat.decide(posterior(0.9), Feedback(similarity=None))
+
     def test_error_scaled_uses_detector_estimate(self):
-        strat = ErrorScaledConfidence()
+        strat = informed("cddm")
         fb = Feedback(error_estimate=0.24, class_count=2)
         d = strat.decide(posterior(0.91), fb)
         assert d.threshold == pytest.approx(0.90146798783194670176, rel=1e-12)
@@ -277,7 +294,7 @@ class TestInformedStrategies:
         assert not strat.decide(posterior(0.90), fb).train
 
     def test_similarity_scaled_uses_detector_similarity(self):
-        strat = SimilarityScaledConfidence()
+        strat = informed("ceddm")
         fb = Feedback(similarity=0.95, class_count=2)
         d = strat.decide(posterior(0.76), fb)
         assert d.threshold == pytest.approx(0.75)
@@ -290,7 +307,7 @@ class TestInformedStrategies:
         assert strat.decide(ClassPosterior([1.0, 0.0]), fb).train
 
     def test_window_scaled_uses_window_error(self):
-        strat = WindowScaledConfidence()
+        strat = informed("winerr")
         fb = Feedback(windowed_error=0.0, class_count=2)
         d = strat.decide(posterior(0.77), fb)
         assert d.threshold == pytest.approx(0.76159415595576488812, rel=1e-12)
@@ -299,10 +316,10 @@ class TestInformedStrategies:
     def test_window_and_error_share_one_mapping(self):
         # same signal value -> identical bar from both strategies
         for value in (0.0, 0.1, 0.33, 0.8):
-            err = ErrorScaledConfidence().decide(
+            err = informed("cddm").decide(
                 posterior(0.9), Feedback(error_estimate=value, class_count=3)
             )
-            win = WindowScaledConfidence().decide(
+            win = informed("winerr").decide(
                 posterior(0.9), Feedback(windowed_error=value, class_count=3)
             )
             assert err.threshold == win.threshold
@@ -310,10 +327,10 @@ class TestInformedStrategies:
     @pytest.mark.parametrize(
         "strategy,fields",
         [
-            (InvertedUncertainty(), {"query_threshold": 0.8, "class_count": 2}),
-            (ErrorScaledConfidence(), {"error_estimate": 0.1, "class_count": 2}),
-            (SimilarityScaledConfidence(), {"similarity": 0.97, "class_count": 2}),
-            (WindowScaledConfidence(), {"windowed_error": 0.2, "class_count": 2}),
+            (informed("invunc"), {"query_threshold": 0.8, "class_count": 2}),
+            (informed("cddm"), {"error_estimate": 0.1, "class_count": 2}),
+            (informed("ceddm"), {"similarity": 0.97, "class_count": 2}),
+            (informed("winerr"), {"windowed_error": 0.2, "class_count": 2}),
         ],
     )
     def test_reads_only_its_own_signal(self, strategy, fields):
@@ -328,10 +345,10 @@ class TestInformedStrategies:
     @pytest.mark.parametrize(
         "strategy",
         [
-            InvertedUncertainty(),
-            ErrorScaledConfidence(),
-            SimilarityScaledConfidence(),
-            WindowScaledConfidence(),
+            informed("invunc"),
+            informed("cddm"),
+            informed("ceddm"),
+            informed("winerr"),
         ],
     )
     def test_informed_strategies_are_stateless(self, strategy):
@@ -342,11 +359,24 @@ class TestInformedStrategies:
             windowed_error=0.1,
             class_count=2,
         )
+        before = dict(vars(strategy))
         first = strategy.decide(posterior(0.9), fb)
         second = strategy.decide(posterior(0.9), fb)
         assert first.train == second.train
         assert first.threshold == second.threshold
-        assert not vars(strategy) if hasattr(strategy, "__dict__") else True
+        assert vars(strategy) == before
+
+    def test_registry_builds_the_informed_pairs(self):
+        pairs = {}
+        for name in ("invunc", "cddm", "ceddm", "winerr"):
+            strategy = informed(name)
+            pairs[name] = (strategy.field, strategy.threshold_fn)
+        assert pairs == {
+            "invunc": ("query_threshold", inverted_uncertainty_threshold),
+            "cddm": ("error_estimate", error_scaled_threshold),
+            "ceddm": ("similarity", similarity_scaled_threshold),
+            "winerr": ("windowed_error", error_scaled_threshold),
+        }
 
 
 def test_feedback_defaults():

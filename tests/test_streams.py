@@ -15,6 +15,7 @@ from driftlab.core import (
     UnknownClass,
 )
 from driftlab.generators import DriftProfile, gen_drift_stream
+from driftlab.hybrid import HybridConfig, run_stream
 from driftlab.streams import (
     MalformedHeader,
     SparseNotSupported,
@@ -293,6 +294,51 @@ class TestReadArff:
             "@attribute class {x,y}\n@data\n% data comment\n1.0,x\n\n2.0,y\n"
         )
         assert len(read_arff(p)) == 2
+
+
+class TestNonFiniteCells:
+    """``inf``, ``-inf`` and overflowing literals read as missing, so a
+    learner never sees a non-finite feature."""
+
+    ROWS = [
+        (0.1 * i + (2.0 if i % 2 else 0.0), -0.05 * i, "go" if i % 2 else "stay")
+        for i in range(40)
+    ]
+    BAD = {3: ("inf", "1.0"), 8: ("-inf", "1e999"), 15: ("1e999", "-inf")}
+
+    def lines(self):
+        out = []
+        for i, (a, b, label) in enumerate(self.ROWS):
+            a, b = self.BAD.get(i, (repr(a), repr(b)))
+            out.append(f"{a},{b},{label}")
+        return out
+
+    def check(self, stream):
+        for i, inst in enumerate(stream.instances):
+            if i in self.BAD:
+                cells = self.BAD[i]
+                expected = tuple(None if c != "1.0" else 1.0 for c in cells)
+                assert inst.features == expected, i
+            else:
+                assert inst.features == self.ROWS[i][:2]
+        config = HybridConfig(learner="nb", active="random", budget=1.0)
+        records, _ = run_stream(stream, config, record_stride=1)
+        floor = 1.0 / stream.schema.class_count
+        assert all(floor <= r.top_prob <= 1.0 for r in records)
+
+    def test_csv(self, tmp_path):
+        p = tmp_path / "inf.csv"
+        p.write_text("a,b,class\n" + "\n".join(self.lines()) + "\n")
+        self.check(read_csv(p))
+
+    def test_arff(self, tmp_path):
+        p = tmp_path / "inf.arff"
+        header = (
+            "@relation inf\n@attribute a numeric\n@attribute b numeric\n"
+            "@attribute class {stay, go}\n@data\n"
+        )
+        p.write_text(header + "\n".join(self.lines()) + "\n")
+        self.check(read_arff(p))
 
 
 class TestStreamSpec:
