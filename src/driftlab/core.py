@@ -9,6 +9,7 @@ classes. Everything here is deliberately plain: tuples, floats and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 NUMERIC = "numeric"
@@ -183,11 +184,12 @@ class ClassPosterior:
             raise ValueError("a posterior needs at least two classes")
         total = 0.0
         for p in probs:
-            if p < 0.0:
-                raise ValueError(f"negative probability entry: {p!r}")
+            if not p >= 0.0:  # also rejects NaN
+                i = next(i for i, q in enumerate(probs) if not q >= 0.0)
+                raise ValueError(f"probability entry {i} is negative or NaN: {p!r}")
             total += p
-        if total <= 0.0:
-            raise ValueError("probabilities sum to zero, cannot normalize")
+        if not 0.0 < total < math.inf:  # an inf entry would normalize to NaN
+            raise ValueError(f"probabilities must have a positive finite sum, got {total!r}")
         inv = 1.0 / total
         normalized = [0.0] * n
         best = -1.0

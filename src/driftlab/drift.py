@@ -93,7 +93,9 @@ class EddmDetector:
     recorded ``p' + 2s'`` (kept as a pair) is the reference scale;
     shrinking distances pull the ratio ``zeta`` below 1. Levels need
     ``warmup_errors`` errors; until then, and again after a continuous
-    reset, ``similarity`` holds its last value (initially 1.0).
+    reset, ``similarity`` holds its last value (initially 1.0). A correct
+    outcome returns the held level: a ``warning`` holds until the next
+    error, while ``change`` is returned only by the error that raises it.
     """
 
     def __init__(
@@ -146,9 +148,13 @@ class EddmDetector:
                 level = CHANGE
             elif self._raw < self.warning_threshold:
                 level = WARNING
-        self.level = level
-        if level == CHANGE and self.continuous:
-            self._reset_moments()
+        if level == CHANGE:
+            # an alarm is an event: the next correct outcomes report stable
+            self.level = STABLE
+            if self.continuous:
+                self._reset_moments()
+        else:
+            self.level = level
         return level
 
     def similarity(self) -> float:

@@ -151,13 +151,14 @@ class GridResult:
 def run_grid(spec: GridSpec, jobs: int = 1) -> GridResult:
     """Execute every row for every seed and assemble the report.
 
-    ``jobs`` > 1 spreads (row, seed) tasks over worker processes; the
-    default stays fully in-process.
+    ``jobs`` > 1 spreads (row, seed) tasks over worker processes, at most
+    one per task and per CPU; the default stays fully in-process.
     """
     rows = grid_rows(spec)
     tasks = [(row, seed, spec.window) for row in rows for seed in spec.seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, tasks, chunksize=4))
     else:
         outcomes = [_run_cell(task) for task in tasks]

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
+
 from .core import (
     MISSING,
     NOMINAL,
@@ -193,44 +195,6 @@ class NaiveBayes:
         if self.trained == 0:
             return ClassPosterior.uniform(self.schema.class_count)
         return ClassPosterior(self.predict_probs(features))
-
-    def predict_top(self, features) -> int:
-        """Index of the highest-posterior class, first one on ties.
-
-        Skips the exp-normalization tail of :meth:`predict_probs`; the
-        winner under the log scores is the winner under the posterior.
-        """
-        if self.trained == 0:
-            return 0
-        numeric = self._numeric
-        nominal = self._nominal
-        class_counts = self.class_counts
-        log_prior = self._log_prior
-        top = 0
-        best = -math.inf
-        for y in range(self._class_count):
-            if class_counts[y] == 0:
-                continue
-            s = log_prior[y]
-            ny = self._n[y]
-            means = self._mean[y]
-            norms = self._log_norm[y]
-            inv2 = self._inv2var[y]
-            for j in numeric:
-                v = features[j]
-                if v is MISSING or ny[j] == 0:
-                    continue
-                d = v - means[j]
-                s += norms[j] - d * d * inv2[j]
-            for j in nominal:
-                v = features[j]
-                if v is MISSING:
-                    continue
-                s += self._log_vlik[y][j][v]
-            if s > best:
-                best = s
-                top = y
-        return top
 
 
 class _Histogram:
@@ -569,6 +533,46 @@ class HoeffdingTree:
         self.n_splits += 1
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow to inf, like float math
+def _chunk_tops(models, features):
+    """Highest-scoring class of every instance under every Naive Bayes model.
+
+    Returns an (instances, models) index array: the first class on ties,
+    class 0 for an untrained model. One batched pass over the whole
+    chunk, with MISSING cells as NaN. Scores start at the log prior (-inf
+    for a class the model never saw) and add numeric attributes, then
+    nominal ones, one attribute at a time in index order, skipping the
+    terms the per-instance loop skips. Every sum therefore rounds exactly
+    as in that loop; a sum over the attribute axis would reorder the
+    additions and could flip an argmax.
+    """
+    first = models[0]
+    x = np.array(features, dtype=float)
+    prior = np.array([m._log_prior for m in models])
+    seen_class = np.array([m.class_counts for m in models]) > 0
+    scores = np.where(seen_class, prior, -math.inf)
+    scores = np.broadcast_to(scores, (len(x),) + scores.shape).copy()
+    n = np.array([m._n for m in models])
+    mean = np.array([m._mean for m in models])
+    norm = np.array([m._log_norm for m in models])
+    inv2 = np.array([m._inv2var for m in models])
+    for j in first._numeric:
+        v = x[:, j, None, None]
+        d = v - mean[:, :, j]
+        keep = ~np.isnan(v) & (n[:, :, j] > 0)
+        np.add(scores, norm[:, :, j] - d * d * inv2[:, :, j], out=scores, where=keep)
+    for j in first._nominal:
+        # (category, model, class) table of smoothed log likelihoods
+        table = np.array([[lik[j] for lik in m._log_vlik] for m in models]).transpose(2, 0, 1)
+        v = x[:, j]
+        keep = ~np.isnan(v)
+        rows = table[np.where(keep, v, 0.0).astype(np.intp)]
+        np.add(scores, rows, out=scores, where=keep[:, None, None])
+    # a NaN score never wins the per-instance strict comparison
+    scores[np.isnan(scores)] = -math.inf
+    return scores.argmax(axis=2)
+
+
 class AccuracyWeightedEnsemble:
     """Chunk-trained committee weighted by per-chunk accuracy.
 
@@ -579,6 +583,13 @@ class AccuracyWeightedEnsemble:
     Prediction is the weight-normalized average of member posteriors,
     uniform while the committee is empty, and a plain average if all
     weights have decayed to zero.
+
+    Re-weighting scores the whole chunk against every member in one
+    batched numpy pass (:func:`_chunk_tops`). Its weights are
+    bit-identical to scoring each member on each instance in turn. The
+    newest member is weighted on the chunk it was just trained on, which
+    favours it; Wang et al. (KDD 2003) estimate that member's accuracy
+    by cross-validation on the chunk instead.
     """
 
     def __init__(
@@ -616,13 +627,11 @@ class AccuracyWeightedEnsemble:
         for features, label in chunk:
             fresh.train(features, label)
         self.members.append([fresh, 0.0])
+        features, labels = zip(*chunk)
+        tops = _chunk_tops([m[0] for m in self.members], features)
+        hits = (tops == np.array(labels)[:, None]).sum(axis=0).tolist()
         inv = 1.0 / len(chunk)
-        for member in self.members:
-            predict_top = member[0].predict_top
-            correct = 0
-            for features, label in chunk:
-                if predict_top(features) == label:
-                    correct += 1
+        for member, correct in zip(self.members, hits):
             member[1] = correct * inv
         if len(self.members) > self.capacity:
             weights = [m[1] for m in self.members]

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -152,6 +154,18 @@ class TestClassPosterior:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             ClassPosterior([0.5, -0.1])
+
+    def test_rejects_nan_entries(self):
+        # NaN fails every comparison, so a plain `p < 0` check let it
+        # through and the posterior came out as [nan, nan]
+        for probs, index in (([math.nan, 0.5], 0), ([0.5, 0.2, math.nan], 2)):
+            with pytest.raises(ValueError, match=f"entry {index} "):
+                ClassPosterior(probs)
+
+    def test_rejects_infinite_sum(self):
+        for probs in ([math.inf, 0.5], [1e308, 1e308]):
+            with pytest.raises(ValueError, match="finite sum"):
+                ClassPosterior(probs)
 
     def test_rejects_zero_sum(self):
         with pytest.raises(ValueError):

@@ -258,6 +258,41 @@ class TestEddm:
         assert det.update(False) == STABLE
         assert det.level == STABLE
 
+    @staticmethod
+    def _warm_then_shrink(det, distance, target):
+        """Warm up on distance-50 errors, then feed errors ``distance``
+        apart until one returns ``target``; returns the similarity then."""
+        for _ in range(35):
+            feed(det, [False] * 49 + [True])
+        for _ in range(100):
+            feed(det, [False] * (distance - 1))
+            if det.update(True) == target:
+                return det.similarity()
+        raise AssertionError(f"{target} never raised")
+
+    def test_change_is_returned_once(self):
+        det = EddmDetector()
+        held = self._warm_then_shrink(det, 5, CHANGE)
+        # correct outcomes after the alarm report stable, not the alarm
+        for _ in range(20):
+            assert det.update(False) == STABLE
+        assert det.level == STABLE
+        assert det.similarity() == held
+
+    def test_change_is_returned_once_without_continuous_reset(self):
+        det = EddmDetector(continuous=False)
+        self._warm_then_shrink(det, 5, CHANGE)
+        assert det.update(False) == STABLE
+        assert det.error_count > 0  # moments kept
+
+    def test_warning_is_held_until_next_error(self):
+        det = EddmDetector()
+        held = self._warm_then_shrink(det, 30, WARNING)
+        for _ in range(20):
+            assert det.update(False) == WARNING
+        assert det.level == WARNING
+        assert det.similarity() == held
+
     def test_similarity_is_pure(self):
         det = EddmDetector()
         feed(det, [False, True, False, False, True])

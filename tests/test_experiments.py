@@ -1,5 +1,6 @@
 import pytest
 
+from driftlab import experiments
 from driftlab.core import ConfigError
 from driftlab.experiments import (
     GridResult,
@@ -157,6 +158,63 @@ class TestRunGrid:
         serial = run_grid(spec, jobs=1)
         parallel = run_grid(spec, jobs=2)
         assert serial.cells == parallel.cells
+
+    @pytest.fixture
+    def fake_pool(self, monkeypatch):
+        """Record each pool's ``max_workers`` and run its tasks in-process,
+        so no worker process is ever started."""
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+        monkeypatch.delenv("DRIFTLAB_JOBS", raising=False)
+        return sizes
+
+    def test_worker_count_is_clamped(self, fake_pool, monkeypatch):
+        spec = GridSpec(
+            streams=(tiny_stream(n=40),),
+            active=("random",),
+            self_label=("fixed",),
+            budgets=(0.5,),
+            seeds=(0, 1, 2),
+        )  # two rows x three seeds = 6 tasks
+        serial = run_grid(spec).cells
+        for jobs, cpus, workers in (
+            (10_000, 4, 4),  # at most one worker per CPU
+            (10_000, 64, 6),  # at most one worker per task
+            (3, 64, 3),
+            (5, None, None),  # CPU count unknown: stays in-process
+            (4, 1, None),
+        ):
+            monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+            fake_pool.clear()
+            assert run_grid(spec, jobs=jobs).cells == serial
+            assert fake_pool == ([] if workers is None else [workers]), (jobs, cpus)
+
+    def test_env_jobs_still_win_before_the_clamp(self, fake_pool, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("DRIFTLAB_JOBS", "10000")
+        spec = GridSpec(
+            streams=(tiny_stream(n=40),),
+            active=("random",),
+            self_label=(),
+            budgets=(0.5,),
+            seeds=(0, 1, 2),
+        )
+        run_grid(spec, jobs=resolve_jobs(1))
+        assert fake_pool == [2]
 
     def test_unpinned_generator_varies_with_seed(self):
         # without a pinned generator seed, each run seed gets its own

@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from driftlab.learners import (
     HoeffdingTree,
     LabelOutOfRange,
     NaiveBayes,
+    _chunk_tops,
     hoeffding_bound,
 )
 
@@ -431,6 +434,214 @@ class TestAccuracyWeightedEnsemble:
             AccuracyWeightedEnsemble(NUM2, chunk_size=0)
         with pytest.raises(ConfigError):
             AccuracyWeightedEnsemble(NUM2, capacity=0)
+
+
+# numeric and nominal attributes interleaved, so "numeric first, then
+# nominal" differs from plain index order
+MIXED = StreamSchema(
+    (
+        Attribute("x0", NUMERIC),
+        Attribute("c0", NOMINAL, ("a", "b")),
+        Attribute("x1", NUMERIC),
+        Attribute("c1", NOMINAL, ("a", "b", "c")),
+    ),
+    ("y0", "y1", "y2"),
+)
+
+
+def reference_top(nb, features):
+    """Per-instance Naive Bayes argmax, written out by hand: log prior,
+    then numeric terms in index order, then nominal terms in index order,
+    strict ``>`` so the first class wins ties; class 0 when untrained."""
+    if nb.trained == 0:
+        return 0
+    numeric = [j for j, a in enumerate(MIXED.attributes) if a.kind == NUMERIC]
+    nominal = [j for j, a in enumerate(MIXED.attributes) if a.kind == NOMINAL]
+    top, best = 0, -math.inf
+    for y in range(MIXED.class_count):
+        if nb.class_counts[y] == 0:
+            continue
+        s = nb._log_prior[y]
+        for j in numeric:
+            v = features[j]
+            if v is MISSING or nb._n[y][j] == 0:
+                continue
+            d = v - nb._mean[y][j]
+            s += nb._log_norm[y][j] - d * d * nb._inv2var[y][j]
+        for j in nominal:
+            v = features[j]
+            if v is not MISSING:
+                s += nb._log_vlik[y][j][v]
+        if s > best:
+            best, top = s, y
+    return top
+
+
+def check_chunk_closes(chunks, order, capacity):
+    """Feed ``chunks[k]`` for each k in ``order`` and compare every chunk
+    close against per-member, per-instance scoring: exact weights, the
+    same evicted member, and the newest member last."""
+    size = len(chunks[0])
+    awe = AccuracyWeightedEnsemble(MIXED, chunk_size=size, capacity=capacity)
+    for k in order:
+        chunk = chunks[k]
+        before = [m[0] for m in awe.members]
+        fresh = NaiveBayes(MIXED)
+        for features, label in chunk:
+            fresh.train(features, label)
+        # accuracy as hits times the reciprocal chunk size, the ensemble's
+        # formula, so the floats compare exactly
+        weights = [
+            sum(reference_top(nb, f) == y for f, y in chunk) * (1.0 / size)
+            for nb in before + [fresh]
+        ]
+        kept = list(range(len(weights)))
+        if len(weights) > capacity:
+            kept.remove(weights.index(min(weights)))
+        for features, label in chunk:
+            awe.train(features, label)
+        assert [w for _, w in awe.members] == [weights[i] for i in kept]
+        for (learner, _), i in zip(awe.members, kept):
+            if i < len(before):
+                assert learner is before[i]
+            else:
+                assert learner not in before
+                assert learner.class_counts == fresh.class_counts
+                assert learner._mean == fresh._mean
+        if kept[-1] == len(before):  # the new member survived: it is last
+            assert awe.members[-1][0].trained == size
+            assert all(m[0] is not awe.members[-1][0] for m in awe.members[:-1])
+    return awe
+
+
+numeric_cell = st.one_of(
+    st.none(), st.sampled_from([-1.0, 0.0, 2.0]), st.floats(-5.0, 5.0)
+)
+mixed_instance = st.tuples(
+    st.tuples(
+        numeric_cell,
+        st.one_of(st.none(), st.integers(0, 1)),
+        numeric_cell,
+        st.one_of(st.none(), st.integers(0, 2)),
+    ),
+    st.integers(0, 2),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_chunk_reweighting_matches_per_member_loop(data):
+    size = data.draw(st.integers(1, 6), label="chunk size")
+    chunks = data.draw(
+        st.lists(
+            st.lists(mixed_instance, min_size=size, max_size=size),
+            min_size=1,
+            max_size=3,
+        ),
+        label="chunks",
+    )
+    # repeated chunk indices make duplicate members with tied weights
+    order = data.draw(
+        st.lists(st.integers(0, len(chunks) - 1), min_size=1, max_size=8),
+        label="order",
+    )
+    check_chunk_closes(chunks, order, data.draw(st.integers(1, 4), label="capacity"))
+
+
+class TestChunkReweightingCases:
+    """The cases the property test must cover, pinned one by one."""
+
+    def test_chunk_size_one(self):
+        chunks = [[((0.5, 1, None, 2), 1)], [((None, None, None, None), 2)]]
+        check_chunk_closes(chunks, [0, 1, 0, 1, 1], capacity=2)
+
+    def test_duplicate_members_tie_and_the_first_is_evicted(self):
+        chunk = [((0.0, 0, 1.0, 0), 0), ((1.0, 1, 0.0, 1), 1), ((1.0, 1, 0.0, 2), 0)]
+        other = [((5.0, 0, 5.0, 2), 2), ((5.0, 0, 5.0, 2), 1), ((-5.0, 1, None, 0), 0)]
+        awe = check_chunk_closes([chunk, other], [0, 0, 0, 1, 1], capacity=3)
+        assert len(awe.members) == 3
+
+    def test_unseen_classes_and_an_unobserved_numeric_attribute(self):
+        # class 1 never has x1, class 2 never appears at all
+        chunk = [
+            ((0.0, 0, 3.0, 1), 0),
+            ((1.5, 1, None, 0), 1),
+            ((2.5, None, None, 2), 1),
+            ((None, 0, -1.0, None), 0),
+        ]
+        probe = [((1.0, 1, 40.0, 0), 1), ((None, None, 0.0, 1), 0)] * 2
+        check_chunk_closes([chunk, probe], [0, 1, 0, 1], capacity=2)
+
+    def test_exact_score_ties_between_classes(self):
+        # identical features under two labels: equal scores, class 0 wins
+        chunk = [((1.0, 0, 2.0, 1), 0), ((1.0, 0, 2.0, 1), 1)]
+        awe = check_chunk_closes([chunk], [0, 0], capacity=2)
+        assert [w for _, w in awe.members] == [0.5, 0.5]
+
+    @staticmethod
+    def _tops(nb, probes):
+        batched = _chunk_tops([nb], probes)[:, 0].tolist()
+        assert batched == [reference_top(nb, f) for f in probes]
+        return batched
+
+    def test_scores_add_in_the_scalar_order(self):
+        # class 1 collects four terms; class 0 holds their sum in the
+        # scalar order as its prior, so the two tie exactly and class 0
+        # wins. Any other grouping or order of the additions leaves class
+        # 1 a few ulps higher, and class 1 would win.
+        p, u0, u1 = -math.log(3.0), -2.401, -2.409
+        norm0, d0, inv0 = -0.226, -2.616, 3.371
+        norm1, d1, inv1 = -2.22, -2.325, 2.147
+        t0 = norm0 - d0 * d0 * inv0
+        t1 = norm1 - d1 * d1 * inv1
+        tie = (((p + t0) + t1) + u0) + u1
+        r0 = norm0 - d0 * (d0 * inv0)
+        r1 = norm1 - d1 * (d1 * inv1)
+        for other in (
+            (((p + u0) + u1) + t0) + t1,  # nominal before numeric
+            (((p + t1) + t0) + u0) + u1,  # numeric in reverse
+            (((p + t0) + t1) + u1) + u0,  # nominal in reverse
+            p + (((t0 + t1) + u0) + u1),  # terms summed first
+            (p + (t0 + t1)) + (u0 + u1),  # pairwise
+            (((p + r0) + r1) + u0) + u1,  # products regrouped
+        ):
+            assert other > tie
+        nb = NaiveBayes(MIXED)
+        nb.train((None, None, None, None), 0)
+        nb.train((0.0, None, 0.0, None), 1)
+        nb._log_prior[:2] = [tie, p]
+        nb._log_norm[1][0], nb._inv2var[1][0] = norm0, inv0
+        nb._log_norm[1][2], nb._inv2var[1][2] = norm1, inv1
+        nb._log_vlik[0][1][1] = nb._log_vlik[0][3][2] = 0.0
+        nb._log_vlik[1][1][1], nb._log_vlik[1][3][2] = u0, u1
+        assert self._tops(nb, [(d0, 1, d1, 2)]) == [0]
+
+    def test_nan_scores_never_win(self):
+        # +-1e200 overflow class 0's variance to inf, and the probe's
+        # squared distance times the zero inverse variance is NaN
+        nb = NaiveBayes(MIXED)
+        nb.train((1e200, 0, 0.0, 0), 0)
+        nb.train((-1e200, 0, 0.0, 0), 0)
+        nb.train((1e200, 0, 0.0, 0), 1)
+        assert self._tops(nb, [(1e200, 0, 0.0, 0), (0.0, 0, 0.0, 0)]) == [1, 0]
+
+    def test_unobserved_numeric_attribute_is_skipped(self):
+        # class 0 never saw x1, so a huge x1 adds nothing to its score
+        nb = NaiveBayes(MIXED)
+        nb.train((0.0, 0, None, 0), 0)
+        nb.train((50.0, 1, 1e200, 1), 1)
+        assert self._tops(nb, [(0.0, 0, 1e200, 0)]) == [0]
+
+    def test_newest_member_is_last(self):
+        awe = AccuracyWeightedEnsemble(NUM2, chunk_size=4)
+        for i in range(12):
+            awe.train((float(i % 2 * 10), 0.0), i % 2)
+            newest = awe.members[-1][0] if awe.members else None
+            assert len(awe.members) == (i + 1) // 4
+            if (i + 1) % 4 == 0:
+                assert isinstance(newest, NaiveBayes)
+                assert newest.trained == 4
+                assert all(m[0] is not newest for m in awe.members[:-1])
 
 
 def test_all_learners_emit_valid_posteriors():
