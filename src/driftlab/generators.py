@@ -128,6 +128,12 @@ class DriftProfile:
         return phases
 
 
+def _require_finite(**params):
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
+
+
 class GaussianClusters:
     """Per-class spherical Gaussians; drift rotates the cluster centers.
 
@@ -143,6 +149,7 @@ class GaussianClusters:
             raise ConfigError("gaussian-clusters needs at least 2 classes")
         if not 2 <= dims <= 10:
             raise ConfigError("gaussian-clusters supports 2 to 10 dimensions")
+        _require_finite(radius=radius, spread=spread, rotation=rotation)
         if spread <= 0:
             raise ConfigError("spread must be positive")
         self.classes = int(classes)
@@ -197,6 +204,7 @@ class RotatingHyperplane:
     def __init__(self, dims=5, rotation=0.5, noise=0.0):
         if dims < 2:
             raise ConfigError("rotating-hyperplane needs at least 2 dimensions")
+        _require_finite(rotation=rotation)
         if not 0.0 <= noise < 0.5:
             raise ConfigError("label noise must be in [0, 0.5)")
         self.dims = int(dims)
@@ -310,6 +318,8 @@ def gen_drift_stream(profile: DriftProfile, family, n: int, seed, name=None, **f
     rng = np.random.default_rng(seed)
     phases = profile.concept_phases(n, rng)
     x, y = fam.sample(rng, phases)
+    if not np.isfinite(x).all():
+        raise ConfigError(f"{fam.name} parameters {fam.params()} overflow to non-finite features")
     rows = x.tolist()
     labels = y.tolist()
     instances = [Instance(tuple(row), label) for row, label in zip(rows, labels)]

@@ -111,40 +111,64 @@ class NaiveBayes:
             raise LabelOutOfRange(
                 f"label {label!r} outside [0, {self.schema.class_count})"
             )
+        self._count(features, label)
+        self._derive(label)
+
+    def _count(self, features, label):
+        """Add one instance to the class counts and moments; the derived
+        log tables are stale until :meth:`_derive` runs for ``label``."""
         self.class_counts[label] += 1
         self.trained += 1
-        self._log_prior[label] = math.log(self.class_counts[label])
+        ns = self._n[label]
+        means = self._mean[label]
+        m2s = self._m2[label]
         for j in self._numeric:
             v = features[j]
             if v is MISSING:
                 continue
-            ns = self._n[label]
-            means = self._mean[label]
             n = ns[j] + 1
             ns[j] = n
             delta = v - means[j]
             mean = means[j] + delta / n
             means[j] = mean
-            m2 = self._m2[label][j] + delta * (v - mean)
-            self._m2[label][j] = m2
-            var = m2 / n
-            if var < VARIANCE_FLOOR:
-                var = VARIANCE_FLOOR
-            self._log_norm[label][j] = -0.5 * (LOG_2PI + math.log(var))
-            self._inv2var[label][j] = 0.5 / var
+            m2s[j] += delta * (v - mean)
+        counts = self._vcounts[label]
+        totals = self._vtotals[label]
         for j in self._nominal:
             v = features[j]
             if v is MISSING:
                 continue
-            counts = self._vcounts[label][j]
-            counts[v] += 1
-            total = self._vtotals[label][j] + 1
-            self._vtotals[label][j] = total
-            lam = self.smoothing
+            counts[j][v] += 1
+            totals[j] += 1
+
+    def _derive(self, label):
+        """Rebuild class ``label``'s log prior, Gaussian terms and smoothed
+        log likelihoods from its counts. Attributes the class never
+        observed keep their initial entries."""
+        self._log_prior[label] = math.log(self.class_counts[label])
+        ns = self._n[label]
+        m2s = self._m2[label]
+        norms = self._log_norm[label]
+        inv2 = self._inv2var[label]
+        for j in self._numeric:
+            n = ns[j]
+            if n == 0:
+                continue
+            var = m2s[j] / n
+            if var < VARIANCE_FLOOR:
+                var = VARIANCE_FLOOR
+            norms[j] = -0.5 * (LOG_2PI + math.log(var))
+            inv2[j] = 0.5 / var
+        lam = self.smoothing
+        counts = self._vcounts[label]
+        totals = self._vtotals[label]
+        liks = self._log_vlik[label]
+        for j in self._nominal:
+            total = totals[j]
+            if total == 0:
+                continue
             log_denom = math.log(total + lam * self._cards[j])
-            self._log_vlik[label][j] = [
-                math.log(cnt + lam) - log_denom for cnt in counts
-            ]
+            liks[j] = [math.log(cnt + lam) - log_denom for cnt in counts[j]]
 
     def predict_probs(self, features) -> list:
         c = self._class_count
@@ -284,7 +308,8 @@ class _Histogram:
         if x >= self.hi:
             return float(self.n)
         pos = (x - self.lo) / (self.hi - self.lo) * self.NBINS
-        full = int(pos)
+        # x < hi can still round to pos == NBINS when hi - lo dwarfs hi - x
+        full = min(int(pos), self.NBINS - 1)
         return prefix[full] + self.bins[full] * (pos - full)
 
 
@@ -533,44 +558,112 @@ class HoeffdingTree:
         self.n_splits += 1
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow to inf, like float math
-def _chunk_tops(models, features):
-    """Highest-scoring class of every instance under every Naive Bayes model.
+class _BayesStack:
+    """Frozen Naive Bayes models stacked for batched scoring.
 
-    Returns an (instances, models) index array: the first class on ties,
-    class 0 for an untrained model. One batched pass over the whole
-    chunk, with MISSING cells as NaN. Scores start at the log prior (-inf
-    for a class the model never saw) and add numeric attributes, then
-    nominal ones, one attribute at a time in index order, skipping the
-    terms the per-instance loop skips. Every sum therefore rounds exactly
-    as in that loop; a sum over the attribute axis would reorder the
-    additions and could flip an argmax.
+    Every array is attribute-major, ``(attribute, model, class)``, so a
+    row holds one term of every model's class scores. The terms come in
+    the order in which :meth:`NaiveBayes.predict_probs` adds them: the
+    log prior (-inf for a class the model never saw), the numeric
+    attributes, then the nominal ones. A term that loop skips (a missing
+    cell, or a class with no observations of a numeric attribute) is
+    0.0, which adds exactly, so every score rounds exactly as in the
+    per-model loop. An untrained model scores every class alike, which
+    gives the uniform posterior it answers with.
     """
-    first = models[0]
-    x = np.array(features, dtype=float)
-    prior = np.array([m._log_prior for m in models])
-    seen_class = np.array([m.class_counts for m in models]) > 0
-    scores = np.where(seen_class, prior, -math.inf)
-    scores = np.broadcast_to(scores, (len(x),) + scores.shape).copy()
-    n = np.array([m._n for m in models])
-    mean = np.array([m._mean for m in models])
-    norm = np.array([m._log_norm for m in models])
-    inv2 = np.array([m._inv2var for m in models])
-    for j in first._numeric:
-        v = x[:, j, None, None]
-        d = v - mean[:, :, j]
-        keep = ~np.isnan(v) & (n[:, :, j] > 0)
-        np.add(scores, norm[:, :, j] - d * d * inv2[:, :, j], out=scores, where=keep)
-    for j in first._nominal:
-        # (category, model, class) table of smoothed log likelihoods
-        table = np.array([[lik[j] for lik in m._log_vlik] for m in models]).transpose(2, 0, 1)
-        v = x[:, j]
-        keep = ~np.isnan(v)
-        rows = table[np.where(keep, v, 0.0).astype(np.intp)]
-        np.add(scores, rows, out=scores, where=keep[:, None, None])
-    # a NaN score never wins the per-instance strict comparison
-    scores[np.isnan(scores)] = -math.inf
-    return scores.argmax(axis=2)
+
+    def __init__(self, numeric, nominal, offsets, prior, observed, mean, norm, inv2, table):
+        self.numeric = numeric
+        self.nominal = nominal
+        self.offsets = offsets  # first row of each nominal attribute in ``table``
+        self.arrays = (prior, observed, mean, norm, inv2, table)
+        self.prior, self.observed, self.mean, self.norm, self.inv2, self.table = self.arrays
+        # the term buffer of :meth:`scores`: row 0 holds the log prior,
+        # and the unobserved numeric entries stay 0.0
+        terms = np.zeros((1 + len(numeric) + len(nominal),) + prior.shape[1:])
+        terms[0] = prior[0]
+        self._terms = terms
+        self._numeric_terms = terms[1 : 1 + len(numeric)]
+        self._nominal_terms = terms[1 + len(numeric) :]
+        self._diff = np.empty_like(mean)
+
+    @classmethod
+    def of(cls, models):
+        first = models[0]
+        seen = np.array([m.class_counts for m in models]) > 0
+        seen |= np.array([[m.trained == 0] for m in models])
+        prior = np.where(seen, [m._log_prior for m in models], -math.inf)[None]
+        numeric = np.array(first._numeric, dtype=np.intp)
+
+        def attribute_major(name):
+            stacked = np.array([getattr(m, name) for m in models])  # (model, class, attribute)
+            return np.ascontiguousarray(stacked[:, :, numeric].transpose(2, 0, 1))
+
+        # row 0 adds nothing for a missing nominal cell; then one
+        # (category, model, class) block of log likelihoods per attribute
+        tables = [np.zeros(prior.shape)]
+        offsets = []
+        for j in first._nominal:
+            offsets.append(sum(map(len, tables)))
+            tables.append(np.array([[lik[j] for lik in m._log_vlik] for m in models]).transpose(2, 0, 1))
+        n, mean, norm, inv2 = map(attribute_major, ("_n", "_mean", "_log_norm", "_inv2var"))
+        tables = np.concatenate(tables)
+        return cls(first._numeric, first._nominal, tuple(offsets), prior, n > 0, mean, norm, inv2, tables)
+
+    def take(self, rows):
+        """The stack of the models at positions ``rows``, in that order."""
+        return _BayesStack(
+            self.numeric, self.nominal, self.offsets, *(np.take(a, rows, axis=1) for a in self.arrays)
+        )
+
+    @np.errstate(over="ignore", invalid="ignore")  # overflow to inf, like float math
+    def scores(self, features):
+        """(model, class) log scores of one instance.
+
+        Fills the term rows in place, then sums them over the leading
+        axis, which adds the rows one after another.
+        """
+        if self.numeric:
+            values = [features[j] for j in self.numeric]
+            d = self._diff
+            np.subtract(np.array(values, dtype=float).reshape(-1, 1, 1), self.mean, out=d)
+            np.multiply(d, d, out=d)
+            np.multiply(d, self.inv2, out=d)
+            rows = self._numeric_terms
+            np.subtract(self.norm, d, out=rows, where=self.observed)
+            if MISSING in values:
+                rows[[v is MISSING for v in values]] = 0.0
+        if self.nominal:
+            cells = [
+                0 if features[j] is MISSING else offset + features[j]
+                for j, offset in zip(self.nominal, self.offsets)
+            ]
+            np.take(self.table, cells, axis=0, out=self._nominal_terms)
+        return np.add.reduce(self._terms, axis=0)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def tops(self, features):
+        """Highest-scoring class of every instance under every model.
+
+        Returns an (instances, models) index array, the first class on
+        ties. One pass over the whole chunk, with MISSING cells as NaN,
+        that adds one attribute's terms at a time in the order of
+        :meth:`scores`, so it never holds more than the (instance, model,
+        class) scores and one attribute's terms.
+        """
+        x = np.array(features, dtype=float)
+        scores = np.repeat(self.prior, len(x), axis=0)
+        for k, j in enumerate(self.numeric):
+            v = x[:, j, None, None]
+            d = v - self.mean[k]
+            keep = ~np.isnan(v) & self.observed[k]
+            np.add(scores, self.norm[k] - d * d * self.inv2[k], out=scores, where=keep)
+        for j, offset in zip(self.nominal, self.offsets):
+            v = x[:, j]
+            scores += self.table[np.where(np.isnan(v), 0, v + offset).astype(np.intp)]
+        # a NaN score never wins the per-model strict comparison
+        scores[np.isnan(scores)] = -math.inf
+        return scores.argmax(axis=2)
 
 
 class AccuracyWeightedEnsemble:
@@ -584,12 +677,19 @@ class AccuracyWeightedEnsemble:
     uniform while the committee is empty, and a plain average if all
     weights have decayed to zero.
 
-    Re-weighting scores the whole chunk against every member in one
-    batched numpy pass (:func:`_chunk_tops`). Its weights are
-    bit-identical to scoring each member on each instance in turn. The
-    newest member is weighted on the chunk it was just trained on, which
-    favours it; Wang et al. (KDD 2003) estimate that member's accuracy
-    by cross-validation on the chunk instead.
+    Members are frozen once added. Each chunk close stacks their Naive
+    Bayes state once (:class:`_BayesStack`): the chunk is re-weighted
+    against that stack in one batched pass, and the rows of the members
+    prediction reads (those with non-zero weight, or all of them when
+    every weight is zero) are kept, so a prediction scores every member
+    in one stacked pass. Both passes are bit-identical to scoring each
+    member in turn. The prediction stack is rebuilt on ``reset``, at
+    every chunk close and whenever ``members`` is assigned; assign a new
+    list rather than editing it in place.
+
+    The newest member is weighted on the chunk it was just trained on,
+    which favours it; Wang et al. (KDD 2003) estimate that member's
+    accuracy by cross-validation on the chunk instead.
     """
 
     def __init__(
@@ -608,9 +708,45 @@ class AccuracyWeightedEnsemble:
         self.reset()
 
     def reset(self):
-        self.members = []  # [learner, weight] pairs, oldest first
+        self.members = []
         self._buffer = []
         return self
+
+    @property
+    def members(self):
+        """[learner, weight] pairs, oldest first."""
+        return self._members
+
+    @members.setter
+    def members(self, members):
+        self._members = members
+        self._restack()
+
+    def _restack(self, stack=None, rows=None):
+        """Freeze what prediction reads: the stack of the members it
+        scores, their weights and the final scale. A given ``stack``
+        holds member k at row ``rows[k]``; otherwise one is built."""
+        members = self._members
+        if not members:
+            self._stack = None
+            return
+        weights = [w for _, w in members]
+        total = 0.0
+        for w in weights:
+            total += w
+        if total > 0.0:
+            used = [k for k, w in enumerate(weights) if w != 0.0]
+            self._scale = 1.0 / total
+        else:
+            # a plain average; times 1.0 is exact
+            used = list(range(len(members)))
+            weights = [1.0] * len(members)
+            self._scale = 1.0 / len(members)
+        self._weights = [weights[k] for k in used]
+        if stack is None:
+            self._stack = _BayesStack.of([members[k][0] for k in used])
+        else:
+            self._stack = stack.take([rows[k] for k in used])
 
     def train(self, features, label):
         if not 0 <= label < self.schema.class_count:
@@ -625,46 +761,49 @@ class AccuracyWeightedEnsemble:
         chunk = self._buffer
         fresh = NaiveBayes(self.schema)
         for features, label in chunk:
-            fresh.train(features, label)
-        self.members.append([fresh, 0.0])
+            fresh._count(features, label)
+        for label, count in enumerate(fresh.class_counts):
+            if count:
+                fresh._derive(label)
+        members = self._members
+        members.append([fresh, 0.0])
         features, labels = zip(*chunk)
-        tops = _chunk_tops([m[0] for m in self.members], features)
-        hits = (tops == np.array(labels)[:, None]).sum(axis=0).tolist()
+        stack = _BayesStack.of([m[0] for m in members])
+        hits = (stack.tops(features) == np.array(labels)[:, None]).sum(axis=0).tolist()
         inv = 1.0 / len(chunk)
-        for member, correct in zip(self.members, hits):
+        for member, correct in zip(members, hits):
             member[1] = correct * inv
-        if len(self.members) > self.capacity:
-            weights = [m[1] for m in self.members]
-            self.members.pop(weights.index(min(weights)))
+        rows = list(range(len(members)))
+        if len(members) > self.capacity:
+            weights = [m[1] for m in members]
+            evicted = weights.index(min(weights))
+            members.pop(evicted)
+            rows.pop(evicted)
         self._buffer = []
+        self._restack(stack, rows)
 
     def predict_probs(self, features) -> list:
         c = self.schema.class_count
-        if not self.members:
+        stack = self._stack
+        if stack is None:
             return [1.0 / c] * c
-        total_w = 0.0
-        for member in self.members:
-            total_w += member[1]
+        exp = math.exp
         acc = [0.0] * c
-        if total_w > 0.0:
-            for learner, weight in self.members:
-                if weight == 0.0:
-                    continue
-                probs = learner.predict_probs(features)
-                for i in range(c):
-                    acc[i] += weight * probs[i]
-            inv = 1.0 / total_w
-        else:
-            for learner, _ in self.members:
-                probs = learner.predict_probs(features)
-                for i in range(c):
-                    acc[i] += probs[i]
-            inv = 1.0 / len(self.members)
-        for i in range(c):
-            acc[i] *= inv
-        return acc
+        for scores, weight in zip(stack.scores(features).tolist(), self._weights):
+            # each member's softmax in scalar float math, as its own
+            # predict_probs computes it: an unseen class scores -inf and
+            # gets 0.0, and any NaN score makes the whole row NaN
+            best = max(scores)
+            probs = [exp(s - best) for s in scores]
+            total = 0.0
+            for p in probs:
+                total += p
+            inv = 1.0 / total
+            acc = [a + weight * (p * inv) for a, p in zip(acc, probs)]
+        scale = self._scale
+        return [a * scale for a in acc]
 
     def predict(self, features) -> ClassPosterior:
-        if not self.members:
+        if not self._members:
             return ClassPosterior.uniform(self.schema.class_count)
         return ClassPosterior(self.predict_probs(features))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from driftlab.cli import main
 from driftlab.core import ConfigError
 from driftlab.generators import (
     FAMILIES,
@@ -14,6 +15,7 @@ from driftlab.generators import (
     gen_drift_stream,
     make_family,
 )
+from driftlab.streams import parse_stream_spec
 
 
 class TestDriftProfile:
@@ -164,6 +166,11 @@ class TestRotatingHyperplane:
         with pytest.raises(ConfigError):
             RotatingHyperplane(noise=0.5)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rotation_must_be_finite(self, value):
+        with pytest.raises(ConfigError, match="rotation must be finite"):
+            RotatingHyperplane(rotation=value)
+
     def test_labels_follow_boundary_exactly_without_noise(self):
         fam = RotatingHyperplane(dims=4, rotation=0.5)
         rng = np.random.default_rng(1)
@@ -228,6 +235,29 @@ def test_make_family_bad_params():
 def test_make_family_passes_instances_through():
     fam = GaussianClusters()
     assert make_family(fam) is fam
+
+
+@pytest.mark.parametrize(
+    "setting", ["radius=inf", "radius=nan", "spread=nan", "spread=inf", "rotation=inf", "rotation=-inf"]
+)
+def test_non_finite_gaussian_parameters_are_config_errors(setting):
+    # each of these used to load as a stream whose every cell was inf or NaN
+    spec = parse_stream_spec(f"gen:family=gaussian-clusters,n=200,{setting}")
+    key = setting.partition("=")[0]
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        spec.load(seed_fallback=0)
+
+
+def test_parameters_that_overflow_the_features_are_config_errors():
+    with pytest.raises(ConfigError, match="non-finite features"):
+        with np.errstate(over="ignore"):
+            gen_drift_stream(DriftProfile("sudden"), "gaussian-clusters", 50, seed=0, spread=1e308)
+
+
+def test_driftlab_run_rejects_a_non_finite_generator_parameter(capsys):
+    # it used to die inside the run with "probability entry 0 is negative or NaN"
+    assert main(["run", "--stream", "gen:family=gaussian-clusters,n=200,spread=nan"]) == 2
+    assert "spread must be finite" in capsys.readouterr().err
 
 
 class TestGenDriftStream:

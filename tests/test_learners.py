@@ -20,7 +20,7 @@ from driftlab.learners import (
     HoeffdingTree,
     LabelOutOfRange,
     NaiveBayes,
-    _chunk_tops,
+    _BayesStack,
     hoeffding_bound,
 )
 
@@ -360,6 +360,15 @@ class TestHistogram:
         assert h.count_le(64.0, pref) == 1000.0
         assert h.count_le(32.0, pref) == pytest.approx(500.0, abs=10.0)
 
+    def test_count_le_just_below_hi(self):
+        from driftlab.learners import _Histogram
+
+        # (0 - lo) / (hi - lo) rounds to exactly 1.0, one past the last bin
+        h = _Histogram()
+        h.add(1.1754943508222875e-38)
+        h.add(-1.0)
+        assert h.count_le(0.0, h.cumulative()) == pytest.approx(2.0)
+
 
 class TestAccuracyWeightedEnsemble:
     def test_no_members_is_uniform(self):
@@ -477,6 +486,51 @@ def reference_top(nb, features):
     return top
 
 
+def nb_state(nb):
+    """Every count, moment and derived table of a Naive Bayes model."""
+    return (
+        nb.class_counts, nb.trained, nb._log_prior, nb._n, nb._mean, nb._m2,
+        nb._log_norm, nb._inv2var, nb._vcounts, nb._vtotals, nb._log_vlik,
+    )
+
+
+def reference_predict_probs(awe, features):
+    """The ensemble posterior from each member's own ``predict_probs``,
+    written out by hand: weights summed in member order, zero-weight
+    members skipped, a plain average when every weight is zero."""
+    c = awe.schema.class_count
+    if not awe.members:
+        return [1.0 / c] * c
+    total_w = 0.0
+    for _, weight in awe.members:
+        total_w += weight
+    acc = [0.0] * c
+    if total_w > 0.0:
+        for learner, weight in awe.members:
+            if weight == 0.0:
+                continue
+            probs = learner.predict_probs(features)
+            for i in range(c):
+                acc[i] += weight * probs[i]
+        inv = 1.0 / total_w
+    else:
+        for learner, _ in awe.members:
+            probs = learner.predict_probs(features)
+            for i in range(c):
+                acc[i] += probs[i]
+        inv = 1.0 / len(awe.members)
+    for i in range(c):
+        acc[i] *= inv
+    return acc
+
+
+def assert_same_probs(awe, features):
+    """Bit for bit: float.hex tells -0.0 from 0.0 and matches NaN to NaN."""
+    got = awe.predict_probs(features)
+    assert list(map(float.hex, got)) == list(map(float.hex, reference_predict_probs(awe, features)))
+    return got
+
+
 def check_chunk_closes(chunks, order, capacity):
     """Feed ``chunks[k]`` for each k in ``order`` and compare every chunk
     close against per-member, per-instance scoring: exact weights, the
@@ -506,11 +560,13 @@ def check_chunk_closes(chunks, order, capacity):
                 assert learner is before[i]
             else:
                 assert learner not in before
-                assert learner.class_counts == fresh.class_counts
-                assert learner._mean == fresh._mean
+                # trained a chunk at a time, yet equal to per-instance training
+                assert nb_state(learner) == nb_state(fresh)
         if kept[-1] == len(before):  # the new member survived: it is last
             assert awe.members[-1][0].trained == size
             assert all(m[0] is not awe.members[-1][0] for m in awe.members[:-1])
+        for features, _ in chunk:
+            assert_same_probs(awe, features)
     return awe
 
 
@@ -580,7 +636,7 @@ class TestChunkReweightingCases:
 
     @staticmethod
     def _tops(nb, probes):
-        batched = _chunk_tops([nb], probes)[:, 0].tolist()
+        batched = _BayesStack.of([nb]).tops(probes)[:, 0].tolist()
         assert batched == [reference_top(nb, f) for f in probes]
         return batched
 
@@ -642,6 +698,145 @@ class TestChunkReweightingCases:
                 assert isinstance(newest, NaiveBayes)
                 assert newest.trained == 4
                 assert all(m[0] is not newest for m in awe.members[:-1])
+
+
+probe_numeric = st.one_of(numeric_cell, st.just(1e200))
+probe_instance = st.tuples(
+    probe_numeric,
+    st.one_of(st.none(), st.integers(0, 1)),
+    probe_numeric,
+    st.one_of(st.none(), st.integers(0, 2)),
+)
+member_weight = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_stacked_prediction_matches_per_member_loop(data):
+    # members trained on a few labels each (so some classes are unseen,
+    # and an attribute may go unobserved), some untrained, some shared
+    models = []
+    for training in data.draw(st.lists(st.lists(mixed_instance, max_size=5), min_size=1, max_size=4), label="members"):
+        nb = NaiveBayes(MIXED)
+        for features, label in training:
+            nb.train(features, label)
+        models.append(nb)
+    picks = data.draw(st.lists(st.integers(0, len(models) - 1), min_size=1, max_size=6), label="picks")
+    weights = data.draw(st.lists(member_weight, min_size=len(picks), max_size=len(picks)), label="weights")
+    if data.draw(st.booleans(), label="all weights zero"):
+        weights = [0.0] * len(picks)
+    awe = AccuracyWeightedEnsemble(MIXED)
+    awe.members = [[models[k], w] for k, w in zip(picks, weights)]
+    for features in data.draw(st.lists(probe_instance, min_size=1, max_size=5), label="probes"):
+        assert_same_probs(awe, features)
+
+
+class TestStackedPredictionCases:
+    """The prediction stack must follow every change of the members."""
+
+    @staticmethod
+    def _chunk(shift, size=3):
+        return [((float(i) + shift, i % 2, shift, i % 3), (i + int(shift)) % 3) for i in range(size)]
+
+    def test_predict_then_an_evicting_chunk_close_then_predict(self):
+        awe = AccuracyWeightedEnsemble(MIXED, chunk_size=3, capacity=2)
+        for shift in (0.0, 4.0):
+            for features, label in self._chunk(shift):
+                awe.train(features, label)
+        probe = (2.0, 1, 1.0, 2)
+        before = assert_same_probs(awe, probe)
+        members = awe.members
+        for features, label in self._chunk(9.0):
+            awe.train(features, label)
+        assert awe.members is members and len(members) == 2  # edited in place
+        assert assert_same_probs(awe, probe) != before
+
+    def test_predict_then_members_reassigned_then_predict(self):
+        awe = AccuracyWeightedEnsemble(MIXED, chunk_size=3)
+        for shift in (0.0, 4.0):
+            for features, label in self._chunk(shift):
+                awe.train(features, label)
+        probe = (2.0, 1, 1.0, 2)
+        before = assert_same_probs(awe, probe)
+        # the same list object, assigned back after editing it
+        members = awe.members
+        members[0] = [members[0][0], 0.0]
+        awe.members = members
+        after = assert_same_probs(awe, probe)
+        assert after != before
+        awe.members = [[members[0][0], 1.0], [members[0][0], 0.5]]  # duplicates
+        assert assert_same_probs(awe, probe) != after
+
+    def test_reset_clears_the_stack(self):
+        awe = AccuracyWeightedEnsemble(MIXED, chunk_size=3)
+        for features, label in self._chunk(0.0):
+            awe.train(features, label)
+        awe.reset()
+        assert awe.predict_probs((2.0, 1, 1.0, 2)) == [1 / 3] * 3
+
+    def test_unobserved_attribute_with_an_overflowing_value(self):
+        # class 0 never saw x1, so 1e200 adds nothing to it; class 1's
+        # squared distance overflows and its score is -inf
+        nb = NaiveBayes(MIXED)
+        nb.train((0.0, 0, None, 0), 0)
+        nb.train((1.0, 1, 2.0, 1), 1)
+        awe = AccuracyWeightedEnsemble(MIXED)
+        awe.members = [[nb, 1.0], [nb, 0.5]]
+        assert assert_same_probs(awe, (0.0, 0, 1e200, 0)) == [1.0, 0.0, 0.0]
+
+    def test_nan_posteriors_match_too(self):
+        # an infinite variance gives NaN scores; the stacked pass must
+        # produce the same NaN and zero entries as the per-member loop
+        nb = NaiveBayes(MIXED)
+        nb.train((1e200, 0, 0.0, 0), 0)
+        nb.train((-1e200, 0, 0.0, 0), 0)
+        nb.train((3.0, 0, 0.0, 0), 1)
+        awe = AccuracyWeightedEnsemble(MIXED)
+        awe.members = [[nb, 1.0]]
+        for probe in ((1e200, 0, 0.0, 0), (0.0, 0, 0.0, 0), (1e200, None, None, None)):
+            assert_same_probs(awe, probe)
+
+    def test_zero_weight_members_are_not_scored(self):
+        # a zero weight times a NaN posterior would be NaN: skipped, the
+        # member leaves no trace
+        broken = NaiveBayes(MIXED)
+        broken.train((1e200, 0, 0.0, 0), 0)
+        broken.train((-1e200, 0, 0.0, 0), 0)
+        good = NaiveBayes(MIXED)
+        good.train((None, 0, 0.0, 0), 1)  # x0 unobserved: 1e200 adds nothing
+        awe = AccuracyWeightedEnsemble(MIXED)
+        awe.members = [[broken, 0.0], [good, 0.5]]
+        assert math.isnan(broken.predict_probs((1e200, 0, 0.0, 0))[0])
+        assert assert_same_probs(awe, (1e200, 0, 0.0, 0)) == [0.0, 1.0, 0.0]
+
+    def test_untrained_and_zero_weight_members(self):
+        trained = NaiveBayes(MIXED)
+        trained.train((1.0, 1, 1.0, 1), 2)
+        awe = AccuracyWeightedEnsemble(MIXED)
+        awe.members = [[NaiveBayes(MIXED), 0.0], [trained, 0.0]]
+        # all weights zero: the untrained member's uniform posterior counts
+        assert assert_same_probs(awe, (1.0, 1, 1.0, 1)) == [1 / 6, 1 / 6, 1 / 6 + 1 / 2]
+        awe.members = [[NaiveBayes(MIXED), 0.25], [trained, 0.0]]
+        assert assert_same_probs(awe, (1.0, 1, 1.0, 1)) == [1 / 3] * 3
+
+    def test_scores_add_in_the_scalar_order(self):
+        # the tie of TestChunkReweightingCases.test_scores_add_in_the_scalar_order:
+        # summed in the scalar order, the two classes score the same
+        p, u0, u1 = -math.log(3.0), -2.401, -2.409
+        norm0, d0, inv0 = -0.226, -2.616, 3.371
+        norm1, d1, inv1 = -2.22, -2.325, 2.147
+        tie = (((p + (norm0 - d0 * d0 * inv0)) + (norm1 - d1 * d1 * inv1)) + u0) + u1
+        nb = NaiveBayes(MIXED)
+        nb.train((None, None, None, None), 0)
+        nb.train((0.0, None, 0.0, None), 1)
+        nb._log_prior[:2] = [tie, p]
+        nb._log_norm[1][0], nb._inv2var[1][0] = norm0, inv0
+        nb._log_norm[1][2], nb._inv2var[1][2] = norm1, inv1
+        nb._log_vlik[0][1][1] = nb._log_vlik[0][3][2] = 0.0
+        nb._log_vlik[1][1][1], nb._log_vlik[1][3][2] = u0, u1
+        awe = AccuracyWeightedEnsemble(MIXED)
+        awe.members = [[nb, 1.0]]
+        assert assert_same_probs(awe, (d0, 1, d1, 2)) == [0.5, 0.5, 0.0]
 
 
 def test_all_learners_emit_valid_posteriors():
