@@ -7,13 +7,15 @@ that shrinks whenever a label is bought and grows when one is not, with
 a multiplicative Gaussian jitter so that occasional confident instances
 are still sampled. A query decision carries the exact threshold it
 compared against so downstream records can replay the reasoning.
+Each strategy owns its generator and draws in blocks (:func:`~driftlab.core.draws`);
+sharing one generator between components changes the values each sees.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import ClassPosterior, ConfigError
+from .core import ClassPosterior, ConfigError, draws
 
 
 class QueryDecision:
@@ -42,11 +44,12 @@ class RandomQuery:
         if not 0.0 <= budget <= 1.0:
             raise ConfigError("budget must lie in [0, 1]")
         self.budget = float(budget)
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        rng = rng if rng is not None else np.random.default_rng(0)
+        self._uniform = draws(rng.random).__next__
 
     def decide(self, posterior: ClassPosterior) -> QueryDecision:
-        query = self._rng.random() < self.budget
-        return QueryDecision(query, self.budget, posterior.top_prob)
+        budget = self.budget
+        return QueryDecision(self._uniform() < budget, budget, posterior.top_prob)
 
 
 class SamplingQuery:
@@ -62,13 +65,14 @@ class SamplingQuery:
         if delta <= 0.0:
             raise ConfigError("sampling delta must be positive")
         self.delta = float(delta)
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        rng = rng if rng is not None else np.random.default_rng(0)
+        self._uniform = draws(rng.random).__next__
 
     def decide(self, posterior: ClassPosterior) -> QueryDecision:
-        margin = posterior.top_prob - posterior.second_prob
-        p = self.delta / (self.delta + margin)
-        query = self._rng.random() < p
-        return QueryDecision(query, p, posterior.top_prob)
+        top = posterior.top_prob
+        delta = self.delta
+        p = delta / (delta + (top - posterior.second_prob))
+        return QueryDecision(self._uniform() < p, p, top)
 
 
 class RandomizedVariableUncertainty:
@@ -91,22 +95,23 @@ class RandomizedVariableUncertainty:
         self.step = float(step)
         self.noise = float(noise)
         self.threshold = 1.0
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        rng = rng if rng is not None else np.random.default_rng(0)
+        self._normal = draws(rng.standard_normal).__next__
 
     @property
     def adaptive_threshold(self) -> float:
         return self.threshold
 
     def decide(self, posterior: ClassPosterior) -> QueryDecision:
-        eta = 1.0 + self.noise * self._rng.standard_normal()
-        randomized = self.threshold * eta
+        threshold = self.threshold
+        randomized = threshold * (1.0 + self.noise * self._normal())
         top = posterior.top_prob
         if top <= randomized:
             query = True
-            threshold = self.threshold * (1.0 - self.step)
+            threshold *= 1.0 - self.step
         else:
             query = False
-            threshold = self.threshold * (1.0 + self.step)
+            threshold *= 1.0 + self.step
         floor = 1.0 / len(posterior.probs)
         if threshold < floor:
             threshold = floor

@@ -35,6 +35,10 @@ class ConfigError(DriftLabError):
     """Invalid or inconsistent run configuration."""
 
 
+class InvalidPosterior(DriftLabError, ValueError):
+    """Entries that are no distribution, as when a huge feature value overflows."""
+
+
 @dataclass(frozen=True)
 class Attribute:
     """One column of a stream: a name plus a numeric or nominal kind.
@@ -179,35 +183,43 @@ class ClassPosterior:
     __slots__ = ("probs", "top_index", "top_prob", "second_prob")
 
     def __init__(self, probs):
-        n = len(probs)
-        if n < 2:
+        if len(probs) < 2:
             raise ValueError("a posterior needs at least two classes")
+        if not all(p >= 0.0 for p in probs):  # also rejects NaN
+            raise _invalid(probs, None)
+        built = self.trusted(probs)
+        for name in self.__slots__:
+            setattr(self, name, getattr(built, name))
+
+    @classmethod
+    def trusted(cls, probs) -> "ClassPosterior":
+        """The posterior of 2+ entries known not to be negative, without the
+        per-entry check (a NaN entry makes the sum NaN, which still raises).
+        ``+=`` in order, as ``sum()`` rounds differently from Python 3.12."""
         total = 0.0
         for p in probs:
-            if not p >= 0.0:  # also rejects NaN
-                i = next(i for i, q in enumerate(probs) if not q >= 0.0)
-                raise ValueError(f"probability entry {i} is negative or NaN: {p!r}")
             total += p
         if not 0.0 < total < math.inf:  # an inf entry would normalize to NaN
-            raise ValueError(f"probabilities must have a positive finite sum, got {total!r}")
+            raise _invalid(probs, total)
         inv = 1.0 / total
-        normalized = [0.0] * n
-        best = -1.0
-        second = -1.0
-        best_i = 0
-        for i in range(n):
-            q = probs[i] * inv
-            normalized[i] = q
+        self = cls.__new__(cls)
+        normalized = []
+        append = normalized.append
+        best = second = -1.0
+        best_i = i = 0
+        for p in probs:
+            q = p * inv
+            append(q)
             if q > best:
-                second = best
-                best = q
-                best_i = i
+                second, best, best_i = best, q, i
             elif q > second:
                 second = q
+            i += 1
         self.probs = normalized
         self.top_index = best_i
         self.top_prob = best
         self.second_prob = second
+        return self
 
     @classmethod
     def uniform(cls, class_count: int) -> "ClassPosterior":
@@ -234,3 +246,17 @@ class ClassPosterior:
 
     def __repr__(self):
         return f"ClassPosterior({self.probs!r})"
+
+
+def draws(method, block: int = 256):
+    """A numpy ``Generator`` method's values, drawn ``block`` at a time: those
+    of one scalar call each, if the caller owns the generator outright."""
+    while True:
+        yield from method(block).tolist()
+
+
+def _invalid(probs, total) -> InvalidPosterior:
+    for i, p in enumerate(probs):
+        if not p >= 0.0:
+            return InvalidPosterior(f"probability entry {i} is negative or NaN: {p!r}")
+    return InvalidPosterior(f"probabilities must have a positive finite sum, got {total!r}")

@@ -35,9 +35,10 @@ class PrequentialWindow:
         return self
 
     def update(self, loss) -> None:
-        loss = int(loss)
-        if loss not in (0, 1):
-            raise ValueError("prequential loss must be 0 or 1")
+        if loss.__class__ is not int or not 0 <= loss <= 1:
+            loss = int(loss)
+            if loss not in (0, 1):
+                raise ValueError("prequential loss must be 0 or 1")
         if len(self._losses) == self.window:
             self._sum -= self._losses[0]
         self._losses.append(loss)
@@ -49,7 +50,7 @@ class PrequentialWindow:
         return self._sum / len(self._losses)
 
     def accuracy(self) -> float:
-        return 1.0 - self.error_rate()
+        return 1.0 - self._sum / len(self._losses) if self._losses else 1.0
 
     def __len__(self):
         return len(self._losses)

@@ -58,7 +58,8 @@ class BudgetState:
         return self.labeled / self.seen if self.seen else 0.0
 
     def open(self) -> bool:
-        return self.spend < self.budget
+        # the spend rule without the property call: this runs every step
+        return (self.labeled / self.seen if self.seen else 0.0) < self.budget
 
 
 # One name -> factory registry per component kind. Validation, CLI
@@ -66,7 +67,7 @@ class BudgetState:
 # adding one entry here.
 LEARNERS = {
     "nb": lambda schema, seed: NaiveBayes(schema),
-    "ht": lambda schema, seed: HoeffdingTree(schema, seed=seed),
+    "ht": lambda schema, seed: HoeffdingTree(schema),
     "awe": lambda schema, seed: AccuracyWeightedEnsemble(schema),
 }
 ACTIVE = {
@@ -206,35 +207,35 @@ class HybridRunner:
         ``want_record=False``, only the action constant (the record
         object is a measurable share of a sweep's cost)."""
         truth = instance.label
-        posterior = self.learner.predict(instance.features)
+        features = instance.features
+        learner = self.learner
+        budget = self.budget
+        posterior = learner.predict(features)
         predicted = posterior.top_index
         correct = predicted == truth
+        loss = 0 if correct else 1
         # evaluation-only read of the hidden label
-        self.evaluation.update(0 if correct else 1)
+        self.evaluation.update(loss)
         if correct:
             self.correct_total += 1
-        self.budget.seen += 1
+        budget.seen = seen = budget.seen + 1
 
         action = SKIPPED
-        true_label = None
-        al_threshold = None
-        sl_threshold = None
-        if self.budget.open():
+        true_label = al_threshold = sl_threshold = None
+        if budget.open():
             decision = self.active.decide(posterior)
             al_threshold = decision.threshold
             if decision.query:
                 # the label is bought: it may now feed learning state
                 true_label = truth
-                self.budget.labeled += 1
+                budget.labeled = labeled = budget.labeled + 1
                 is_error = not correct
                 self.error_monitor.update(is_error)
                 self.distance_monitor.update(is_error)
-                self.error_window.update(is_error)
-                self.learner.train(instance.features, truth)
+                self.error_window.update(loss)
+                learner.train(features, truth)
                 action = QUERIED
-                overshoot = (
-                    self.budget.labeled - self.budget.budget * self.budget.seen
-                )
+                overshoot = labeled - budget.budget * seen
                 if overshoot > self.max_overshoot:
                     self.max_overshoot = overshoot
 
@@ -247,7 +248,7 @@ class HybridRunner:
             decision = self.self_label.decide(posterior, feedback)
             sl_threshold = decision.threshold
             if decision.train:
-                self.learner.train(instance.features, predicted)
+                learner.train(features, predicted)
                 action = SELF_LABELED
 
         if action is QUERIED:
@@ -262,7 +263,7 @@ class HybridRunner:
         if not want_record:
             return action
         return StepRecord(
-            index=self.budget.seen,
+            index=seen,
             action=action,
             predicted=predicted,
             true_label=true_label,

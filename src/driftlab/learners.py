@@ -9,7 +9,6 @@ uniform distribution. Likelihood math runs in log space throughout.
 from __future__ import annotations
 
 import math
-import random
 
 import numpy as np
 
@@ -107,12 +106,44 @@ class NaiveBayes:
         return self
 
     def train(self, features, label):
-        if not 0 <= label < self.schema.class_count:
-            raise LabelOutOfRange(
-                f"label {label!r} outside [0, {self.schema.class_count})"
-            )
-        self._count(features, label)
-        self._derive(label)
+        """Add one instance: :meth:`_count` then :meth:`_derive`, in one pass."""
+        if not 0 <= label < self._class_count:
+            raise LabelOutOfRange(f"label {label!r} outside [0, {self._class_count})")
+        counts = self.class_counts
+        counts[label] = count = counts[label] + 1
+        self.trained += 1
+        self._log_prior[label] = math.log(count)
+        ns = self._n[label]
+        means = self._mean[label]
+        m2s = self._m2[label]
+        norms = self._log_norm[label]
+        inv2 = self._inv2var[label]
+        for j in self._numeric:
+            v = features[j]
+            if v is MISSING:
+                continue
+            ns[j] = n = ns[j] + 1
+            delta = v - means[j]
+            means[j] = mean = means[j] + delta / n
+            m2s[j] = m2 = m2s[j] + delta * (v - mean)
+            var = m2 / n
+            if var < VARIANCE_FLOOR:
+                var = VARIANCE_FLOOR
+            norms[j] = -0.5 * (LOG_2PI + math.log(var))
+            inv2[j] = 0.5 / var
+        lam = self.smoothing
+        vcounts = self._vcounts[label]
+        totals = self._vtotals[label]
+        liks = self._log_vlik[label]
+        for j in self._nominal:
+            v = features[j]
+            if v is MISSING:
+                continue
+            cells = vcounts[j]
+            cells[v] += 1
+            totals[j] = total = totals[j] + 1
+            log_denom = math.log(total + lam * self._cards[j])
+            liks[j] = [math.log(cnt + lam) - log_denom for cnt in cells]
 
     def _count(self, features, label):
         """Add one instance to the class counts and moments; the derived
@@ -217,8 +248,8 @@ class NaiveBayes:
 
     def predict(self, features) -> ClassPosterior:
         if self.trained == 0:
-            return ClassPosterior.uniform(self.schema.class_count)
-        return ClassPosterior(self.predict_probs(features))
+            return ClassPosterior.uniform(self._class_count)
+        return ClassPosterior.trusted(self.predict_probs(features))
 
 
 class _Histogram:
@@ -262,6 +293,8 @@ class _Histogram:
         self.n += 1
 
     def _stretch(self, new_lo, new_hi):
+        if new_hi - new_lo == math.inf:
+            raise DomainError(f"feature values {new_lo!r} to {new_hi!r} span more than the largest float")
         old = self.bins
         nbins = self.NBINS
         fresh = [0.0] * nbins
@@ -325,13 +358,12 @@ def _entropy(counts, total) -> float:
 
 
 class _Leaf:
-    __slots__ = ("nb", "hists", "since", "attrs")
+    __slots__ = ("nb", "hists", "since")
 
-    def __init__(self, nb, attrs):
+    def __init__(self, nb):
         self.nb = nb
         self.hists = {}
         self.since = 0
-        self.attrs = attrs
 
 
 class _Split:
@@ -364,9 +396,7 @@ class HoeffdingTree:
     gain, so a single-class leaf never splits). Numeric candidates are
     the 63 interior cut points of the classes' merged histogram range;
     nominal attributes split multiway. Missing values route left (child
-    0). ``subset_fraction`` optionally restricts each leaf to a random
-    attribute subset as split candidates; prediction always uses every
-    attribute.
+    0). Every attribute is a split candidate.
     """
 
     def __init__(
@@ -375,8 +405,6 @@ class HoeffdingTree:
         grace_period: int = 200,
         split_confidence: float = 1e-7,
         tie_threshold: float = 0.05,
-        subset_fraction: float | None = None,
-        seed: int = 0,
     ):
         if grace_period < 1:
             raise ConfigError("grace period must be at least 1")
@@ -384,31 +412,20 @@ class HoeffdingTree:
             raise ConfigError("split confidence must lie in (0, 1)")
         if tie_threshold < 0.0:
             raise ConfigError("tie threshold must be nonnegative")
-        if subset_fraction is not None and not 0.0 < subset_fraction <= 1.0:
-            raise ConfigError("attribute subset fraction must lie in (0, 1]")
         self.schema = schema
         self.grace_period = int(grace_period)
         self.split_confidence = float(split_confidence)
         self.tie_threshold = float(tie_threshold)
-        self.subset_fraction = subset_fraction
-        self.seed = seed
         self.reset()
 
     def reset(self):
-        self._rng = random.Random(self.seed)
         self._range = math.log2(self.schema.class_count)
         self._root = self._new_leaf()
         self.n_splits = 0
         return self
 
     def _new_leaf(self) -> _Leaf:
-        d = self.schema.n_attributes
-        if self.subset_fraction is None:
-            attrs = tuple(range(d))
-        else:
-            k = max(1, round(self.subset_fraction * d))
-            attrs = tuple(sorted(self._rng.sample(range(d), k)))
-        return _Leaf(NaiveBayes(self.schema), attrs)
+        return _Leaf(NaiveBayes(self.schema))
 
     def _route(self, features):
         node = self._root
@@ -431,9 +448,7 @@ class HoeffdingTree:
     def train(self, features, label):
         leaf, parent, slot = self._route(features)
         leaf.nb.train(features, label)
-        for j in leaf.attrs:
-            if self.schema.attributes[j].kind != NUMERIC:
-                continue
+        for j in leaf.nb._numeric:
             v = features[j]
             if v is MISSING:
                 continue
@@ -525,8 +540,8 @@ class HoeffdingTree:
         second_gain = 0.0
         best_attr = None
         best_threshold = None
-        for j in leaf.attrs:
-            if self.schema.attributes[j].kind == NOMINAL:
+        for j, attr in enumerate(self.schema.attributes):
+            if attr.kind == NOMINAL:
                 result = self._nominal_gain(leaf, j)
             else:
                 result = self._numeric_gain(leaf, j)
@@ -806,4 +821,4 @@ class AccuracyWeightedEnsemble:
     def predict(self, features) -> ClassPosterior:
         if not self._members:
             return ClassPosterior.uniform(self.schema.class_count)
-        return ClassPosterior(self.predict_probs(features))
+        return ClassPosterior.trusted(self.predict_probs(features))

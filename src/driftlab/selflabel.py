@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import ClassPosterior, ConfigError
+from .core import ClassPosterior, ConfigError, draws
 
 
 class Feedback:
@@ -110,7 +110,8 @@ class RandomizedAdaptiveConfidence:
     the jittered bar, and adjusts the underlying bar according to the
     jittered outcome. ``noise=0`` gives the plain adaptive rule: every
     accepted self-label raises the bar by the step factor and every
-    rejection lowers it, clamped to [1/classes, 1].
+    rejection lowers it, clamped to [1/classes, 1]. It owns its generator
+    and draws in blocks (:func:`~driftlab.core.draws`), even at ``noise=0``.
     """
 
     def __init__(self, step: float = 0.01, noise: float = 1.0, rng=None):
@@ -121,17 +122,18 @@ class RandomizedAdaptiveConfidence:
         self.step = float(step)
         self.noise = float(noise)
         self.confidence = 1.0
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        rng = rng if rng is not None else np.random.default_rng(0)
+        self._normal = draws(rng.standard_normal).__next__
 
     def decide(self, posterior: ClassPosterior, feedback: Feedback) -> SelfLabelDecision:
-        eta = 1.0 + self.noise * self._rng.standard_normal()
-        randomized = self.confidence * eta
+        bar = self.confidence
+        randomized = bar * (1.0 + self.noise * self._normal())
         if posterior.top_prob >= randomized:
             train = True
-            updated = self.confidence * (1.0 + self.step)
+            updated = bar * (1.0 + self.step)
         else:
             train = False
-            updated = self.confidence * (1.0 - self.step)
+            updated = bar * (1.0 - self.step)
         floor = 1.0 / len(posterior.probs)
         if updated < floor:
             updated = floor

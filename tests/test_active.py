@@ -11,17 +11,27 @@ from driftlab.core import ClassPosterior, ConfigError
 
 
 class FakeRng:
-    """Deterministic stand-in feeding scripted draws."""
+    """Deterministic stand-in feeding scripted draws. Asked for a block of
+    ``size`` values, it hands over the scripted values still left, in
+    order, and raises once none are left, as a scalar draw does."""
 
     def __init__(self, normals=(), uniforms=()):
         self._normals = list(normals)
         self._uniforms = list(uniforms)
 
-    def standard_normal(self):
-        return self._normals.pop(0)
+    @staticmethod
+    def _take(values, size):
+        if size is None or not values:
+            return values.pop(0)
+        block = np.array(values[:size])
+        del values[:size]
+        return block
 
-    def random(self):
-        return self._uniforms.pop(0)
+    def standard_normal(self, size=None):
+        return self._take(self._normals, size)
+
+    def random(self, size=None):
+        return self._take(self._uniforms, size)
 
 
 def posterior(top, n_classes=2):

@@ -74,6 +74,21 @@ class TestRun:
         assert err.startswith("i/o error")
         assert str(missing) in err
 
+    @pytest.mark.parametrize("learner", ["nb", "ht"])
+    def test_huge_finite_cells_are_an_error_not_a_crash(self, learner, capsys, tmp_path):
+        # a class whose values reach +-1e200 overflows its running M2,
+        # its scores turn NaN, and the run must end with exit 2 and a message
+        rows = ["a,b,class"]
+        for i in range(60):
+            big = (1e200, -1e200, None)[i % 3]
+            a = repr(big) if big is not None else repr(0.1 * i)
+            rows.append(f"{a},{0.05 * i!r},{'xy'[i % 2]}")
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(rows) + "\n")
+        code = run_cli("run", "--stream", str(path), "--learner", learner, "--al", "random", "--budget", "1.0")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: probability entry")
+
     def test_stream_flag_required(self, capsys):
         assert run_cli("run", "--budget", "0.2") == 2
         assert "--stream" in capsys.readouterr().err

@@ -10,7 +10,9 @@ from driftlab.core import (
     NUMERIC,
     Attribute,
     ClassPosterior,
+    DriftLabError,
     Instance,
+    InvalidPosterior,
     LoadedStream,
     SchemaMismatch,
     StreamSchema,
@@ -167,6 +169,22 @@ class TestClassPosterior:
             with pytest.raises(ValueError, match="finite sum"):
                 ClassPosterior(probs)
 
+    def test_errors_are_driftlab_errors(self):
+        # a run that ends in one exits through the CLI's error handler
+        for probs in ([math.nan, 0.5], [0.5, -0.1], [math.inf, 0.5], [0.0, 0.0]):
+            with pytest.raises(InvalidPosterior):
+                ClassPosterior(probs)
+        assert issubclass(InvalidPosterior, DriftLabError)
+        assert issubclass(InvalidPosterior, ValueError)
+
+    def test_trusted_raises_the_checking_error(self):
+        for probs in ([math.nan, 0.5], [0.5, 0.2, math.nan], [math.inf, 0.5], [1e308, 1e308], [0.0, 0.0]):
+            with pytest.raises(InvalidPosterior) as checked:
+                ClassPosterior(probs)
+            with pytest.raises(InvalidPosterior) as trusted:
+                ClassPosterior.trusted(probs)
+            assert str(trusted.value) == str(checked.value)
+
     def test_rejects_zero_sum(self):
         with pytest.raises(ValueError):
             ClassPosterior([0.0, 0.0])
@@ -174,6 +192,34 @@ class TestClassPosterior:
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
             ClassPosterior([1.0])
+
+
+def built(make, probs):
+    """A posterior's exact fields, or the error building it raised."""
+    try:
+        post = make(probs)
+    except InvalidPosterior as exc:
+        return str(exc)
+    return (
+        list(map(float.hex, post.probs)),
+        post.top_index,
+        float.hex(post.top_prob),
+        float.hex(post.second_prob),
+    )
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0, 1e-300, 1e308, math.nan]),
+            st.floats(min_value=0.0, max_value=1e6),
+        ),
+        min_size=2,
+        max_size=6,
+    )
+)
+def test_trusted_matches_the_checking_constructor(raw):
+    assert built(ClassPosterior.trusted, raw) == built(ClassPosterior, raw)
 
 
 @given(

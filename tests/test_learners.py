@@ -11,7 +11,9 @@ from driftlab.core import (
     NOMINAL,
     NUMERIC,
     Attribute,
+    ClassPosterior,
     ConfigError,
+    InvalidPosterior,
     StreamSchema,
 )
 from driftlab.learners import (
@@ -285,23 +287,6 @@ class TestHoeffdingTree:
         b = ht.predict((1.0, 1.0)).probs
         assert a == b
 
-    def test_subset_fraction_restricts_candidates(self):
-        schema = StreamSchema(
-            tuple(Attribute(f"x{i}", NUMERIC) for i in range(6)), ("a", "b")
-        )
-        ht = HoeffdingTree(schema, subset_fraction=0.5, seed=7)
-        assert len(ht._root.attrs) == 3
-        full = HoeffdingTree(schema)
-        assert len(full._root.attrs) == 6
-
-    def test_subset_fraction_is_deterministic(self):
-        schema = StreamSchema(
-            tuple(Attribute(f"x{i}", NUMERIC) for i in range(8)), ("a", "b")
-        )
-        a = HoeffdingTree(schema, subset_fraction=0.25, seed=11)
-        b = HoeffdingTree(schema, subset_fraction=0.25, seed=11)
-        assert a._root.attrs == b._root.attrs
-
     def test_parameter_validation(self):
         with pytest.raises(ConfigError):
             HoeffdingTree(NUM2, grace_period=0)
@@ -309,8 +294,6 @@ class TestHoeffdingTree:
             HoeffdingTree(NUM2, split_confidence=0.0)
         with pytest.raises(ConfigError):
             HoeffdingTree(NUM2, split_confidence=1.0)
-        with pytest.raises(ConfigError):
-            HoeffdingTree(NUM2, subset_fraction=1.5)
 
     def test_label_out_of_range(self):
         ht = HoeffdingTree(NUM2)
@@ -368,6 +351,16 @@ class TestHistogram:
         h.add(1.1754943508222875e-38)
         h.add(-1.0)
         assert h.count_le(0.0, h.cumulative()) == pytest.approx(2.0)
+
+
+    def test_range_wider_than_the_largest_float_is_a_domain_error(self):
+        # the bin position would be inf / inf; it used to end in a bare
+        # ValueError from int(nan)
+        ht = HoeffdingTree(StreamSchema((Attribute("x", NUMERIC),), ("a", "b")))
+        ht.train((-1.7e308,), 0)
+        ht.train((None,), 1)
+        with pytest.raises(DomainError, match="largest float"):
+            ht.train((1.7e308,), 0)
 
 
 class TestAccuracyWeightedEnsemble:
@@ -854,3 +847,70 @@ def test_all_learners_emit_valid_posteriors():
             assert sum(post.probs) == pytest.approx(1.0, abs=1e-9)
             assert all(p >= 0.0 for p in post.probs)
             learner.train(x, y)
+
+
+# ---------------------------------------------------------------- the nb step
+
+
+def posterior_or_error(make):
+    """Exact fields of a posterior, or the type and text of its error."""
+    try:
+        post = make()
+    except InvalidPosterior as exc:
+        return type(exc), str(exc)
+    return (
+        list(map(float.hex, post.probs)),
+        post.top_index,
+        float.hex(post.top_prob),
+        float.hex(post.second_prob),
+    )
+
+
+# training cells up to the largest floats, so moments overflow to inf and
+# NaN and the scores with them
+train_numeric = st.one_of(numeric_cell, st.sampled_from([1e200, -1e200, 1.7e308, -1.7e308]))
+train_instance = st.tuples(
+    st.tuples(
+        train_numeric,
+        st.one_of(st.none(), st.integers(0, 1)),
+        train_numeric,
+        st.one_of(st.none(), st.integers(0, 2)),
+    ),
+    st.integers(0, 2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(train_instance, max_size=10), st.lists(probe_instance, min_size=1, max_size=5))
+def test_predict_matches_the_checking_constructor(training, probes):
+    nb = NaiveBayes(MIXED)
+    for features, label in training:
+        nb.train(features, label)
+    for features in probes:
+        expected = posterior_or_error(lambda: ClassPosterior(nb.predict_probs(features)))
+        assert posterior_or_error(lambda: nb.predict(features)) == expected
+
+
+def test_predict_raises_the_checking_error_on_nan_scores():
+    nb = NaiveBayes(MIXED)
+    nb.train((1e200, 0, 0.0, 0), 0)
+    nb.train((-1e200, 0, 0.0, 0), 0)
+    probe = (0.0, 0, 0.0, 0)
+    with pytest.raises(InvalidPosterior) as checked:
+        ClassPosterior(nb.predict_probs(probe))
+    with pytest.raises(InvalidPosterior) as fused:
+        nb.predict(probe)
+    assert str(fused.value) == str(checked.value) == "probability entry 0 is negative or NaN: nan"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(train_instance, max_size=14))
+def test_one_call_train_equals_count_then_derive(training):
+    one_call = NaiveBayes(MIXED)
+    split = NaiveBayes(MIXED)
+    for features, label in training:
+        one_call.train(features, label)
+        split._count(features, label)
+        split._derive(label)
+        # repr tells every float apart, -0.0 and NaN included
+        assert repr(nb_state(one_call)) == repr(nb_state(split))

@@ -196,8 +196,13 @@ class TestRandomizedAdaptiveConfidence:
         def __init__(self, normals):
             self._normals = list(normals)
 
-        def standard_normal(self):
-            return self._normals.pop(0)
+        def standard_normal(self, size=None):
+            # a block holds the scripted values still left, in order
+            if size is None or not self._normals:
+                return self._normals.pop(0)
+            block = np.array(self._normals[:size])
+            del self._normals[:size]
+            return block
 
     def test_jittered_bar_drives_decision_and_update(self):
         # eta = 6 puts the bar far above any posterior: reject and lower
