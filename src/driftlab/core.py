@@ -248,11 +248,11 @@ class ClassPosterior:
         return f"ClassPosterior({self.probs!r})"
 
 
-def draws(method, block: int = 256):
-    """A numpy ``Generator`` method's values, drawn ``block`` at a time: those
-    of one scalar call each, if the caller owns the generator outright."""
+def draws(method):
+    """A numpy ``Generator`` method's values, drawn 256 at a time: those of
+    one scalar call each, if the caller owns the generator outright."""
     while True:
-        yield from method(block).tolist()
+        yield from method(256).tolist()
 
 
 def _invalid(probs, total) -> InvalidPosterior:

@@ -58,8 +58,7 @@ class BudgetState:
         return self.labeled / self.seen if self.seen else 0.0
 
     def open(self) -> bool:
-        # the spend rule without the property call: this runs every step
-        return (self.labeled / self.seen if self.seen else 0.0) < self.budget
+        return self.spend < self.budget
 
 
 # One name -> factory registry per component kind. Validation, CLI

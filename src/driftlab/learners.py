@@ -821,4 +821,5 @@ class AccuracyWeightedEnsemble:
     def predict(self, features) -> ClassPosterior:
         if not self._members:
             return ClassPosterior.uniform(self.schema.class_count)
-        return ClassPosterior.trusted(self.predict_probs(features))
+        # checked: a member set by hand may carry a negative weight
+        return ClassPosterior(self.predict_probs(features))
