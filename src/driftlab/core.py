@@ -185,11 +185,12 @@ class ClassPosterior:
     def __init__(self, probs):
         if len(probs) < 2:
             raise ValueError("a posterior needs at least two classes")
-        if not all(p >= 0.0 for p in probs):  # also rejects NaN
+        if not min(probs) >= 0.0:  # min skips a NaN after entry 0; its NaN sum raises
             raise _invalid(probs, None)
         built = self.trusted(probs)
-        for name in self.__slots__:
-            setattr(self, name, getattr(built, name))
+        self.probs, self.top_index, self.top_prob, self.second_prob = (
+            built.probs, built.top_index, built.top_prob, built.second_prob
+        )
 
     @classmethod
     def trusted(cls, probs) -> "ClassPosterior":

@@ -157,11 +157,9 @@ class NaiveBayes:
             v = features[j]
             if v is MISSING:
                 continue
-            n = ns[j] + 1
-            ns[j] = n
+            ns[j] = n = ns[j] + 1
             delta = v - means[j]
-            mean = means[j] + delta / n
-            means[j] = mean
+            means[j] = mean = means[j] + delta / n
             m2s[j] += delta * (v - mean)
         counts = self._vcounts[label]
         totals = self._vtotals[label]
@@ -734,6 +732,8 @@ class AccuracyWeightedEnsemble:
 
     @members.setter
     def members(self, members):
+        if any(w < 0.0 for _, w in members):
+            raise ConfigError("member weights must not be negative")
         self._members = members
         self._restack()
 
@@ -821,5 +821,4 @@ class AccuracyWeightedEnsemble:
     def predict(self, features) -> ClassPosterior:
         if not self._members:
             return ClassPosterior.uniform(self.schema.class_count)
-        # checked: a member set by hand may carry a negative weight
-        return ClassPosterior(self.predict_probs(features))
+        return ClassPosterior.trusted(self.predict_probs(features))

@@ -160,7 +160,7 @@ class TestClassPosterior:
     def test_rejects_nan_entries(self):
         # NaN fails every comparison, so a plain `p < 0` check let it
         # through and the posterior came out as [nan, nan]
-        for probs, index in (([math.nan, 0.5], 0), ([0.5, 0.2, math.nan], 2)):
+        for probs, index in (([math.nan, 0.5], 0), ([0.5, 0.2, math.nan], 2), ([0.5, math.nan, -1.0], 1)):
             with pytest.raises(ValueError, match=f"entry {index} "):
                 ClassPosterior(probs)
 

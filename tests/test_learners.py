@@ -417,15 +417,18 @@ class TestAccuracyWeightedEnsemble:
         ]
         assert awe.predict(x).probs == pytest.approx(expected)
 
-    def test_negative_weight_set_by_hand_is_rejected_at_predict(self):
+    def test_negative_member_weight_is_rejected(self):
+        # a positive total would otherwise scale -0.5 x b's posterior into
+        # negative probabilities
         a, b = NaiveBayes(NUM2), NaiveBayes(NUM2)
-        for i in range(10):
-            a.train((0.0, float(i % 3)), 0)
-            b.train((10.0, float(i % 3)), 1)
+        a.train((0.0, 0.0), 0)
+        b.train((10.0, 0.0), 1)
         awe = AccuracyWeightedEnsemble(NUM2)
-        awe.members = [[a, 1.0], [b, -0.5]]
-        with pytest.raises(InvalidPosterior, match="entry 1 is negative"):
-            awe.predict((10.0, 1.0))
+        awe.members = [[a, 1.0]]
+        with pytest.raises(ConfigError, match="must not be negative"):
+            awe.members = [[a, 1.0], [b, -0.5]]
+        assert len(awe.members) == 1
+        assert awe.predict((10.0, 0.0)).probs == [1.0, 0.0]
 
     def test_label_checked_immediately(self):
         awe = AccuracyWeightedEnsemble(NUM2)
