@@ -727,7 +727,7 @@ class AccuracyWeightedEnsemble:
 
     @property
     def members(self):
-        """[learner, weight] pairs, oldest first."""
+        """[learner, weight] pairs, oldest first; no weight is negative."""
         return self._members
 
     @members.setter
