@@ -21,18 +21,14 @@ from .core import ClassPosterior, ConfigError, draws
 class QueryDecision:
     """Outcome of one query check plus the values that drove it."""
 
-    __slots__ = ("query", "threshold", "top_prob")
+    __slots__ = ("query", "threshold")
 
-    def __init__(self, query, threshold, top_prob):
+    def __init__(self, query, threshold):
         self.query = query
         self.threshold = threshold
-        self.top_prob = top_prob
 
     def __repr__(self):
-        return (
-            f"QueryDecision(query={self.query!r}, threshold={self.threshold!r},"
-            f" top_prob={self.top_prob!r})"
-        )
+        return f"QueryDecision(query={self.query!r}, threshold={self.threshold!r})"
 
 
 class RandomQuery:
@@ -49,7 +45,7 @@ class RandomQuery:
 
     def decide(self, posterior: ClassPosterior) -> QueryDecision:
         budget = self.budget
-        return QueryDecision(self._uniform() < budget, budget, posterior.top_prob)
+        return QueryDecision(self._uniform() < budget, budget)
 
 
 class SamplingQuery:
@@ -69,10 +65,9 @@ class SamplingQuery:
         self._uniform = draws(rng.random).__next__
 
     def decide(self, posterior: ClassPosterior) -> QueryDecision:
-        top = posterior.top_prob
         delta = self.delta
-        p = delta / (delta + (top - posterior.second_prob))
-        return QueryDecision(self._uniform() < p, p, top)
+        p = delta / (delta + (posterior.top_prob - posterior.second_prob))
+        return QueryDecision(self._uniform() < p, p)
 
 
 class RandomizedVariableUncertainty:
@@ -105,8 +100,7 @@ class RandomizedVariableUncertainty:
     def decide(self, posterior: ClassPosterior) -> QueryDecision:
         threshold = self.threshold
         randomized = threshold * (1.0 + self.noise * self._normal())
-        top = posterior.top_prob
-        if top <= randomized:
+        if posterior.top_prob <= randomized:
             query = True
             threshold *= 1.0 - self.step
         else:
@@ -118,4 +112,4 @@ class RandomizedVariableUncertainty:
         elif threshold > 1.0:
             threshold = 1.0
         self.threshold = threshold
-        return QueryDecision(query, randomized, top)
+        return QueryDecision(query, randomized)

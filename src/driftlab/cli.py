@@ -16,7 +16,7 @@ from .core import DriftLabError
 from .core import ConfigError
 from .experiments import GridSpec, resolve_jobs, run_grid
 from .evaluation import to_records, to_text
-from .generators import DriftProfile, gen_drift_stream
+from .generators import KINDS, DriftProfile, gen_drift_stream
 from .hybrid import ACTIVE, LEARNERS, SELF_LABEL, HybridConfig, StepRecord, run_stream
 from .streams import parse_stream_spec, write_csv
 
@@ -45,9 +45,9 @@ def _format_value(value) -> str:
 
 def _write_series(path, records):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(StepRecord.FIELDS) + "\n")
+        fh.write(",".join(StepRecord._fields) + "\n")
         for record in records:
-            fh.write(",".join(_format_value(v) for v in record.as_tuple()) + "\n")
+            fh.write(",".join(_format_value(v) for v in record) + "\n")
 
 
 def _write_json(path, payload):
@@ -84,10 +84,10 @@ def cmd_run(args) -> int:
     defaults = {
         "learner": "nb",
         "al": "randvar",
-        "sl": "none",
-        "budget": 0.1,
-        "seed": 0,
-        "window": 1000,
+        "sl": HybridConfig.self_label,
+        "budget": HybridConfig.budget,
+        "seed": HybridConfig.seed,
+        "window": HybridConfig.window,
         "stride": 100,
     }
     for key, value in defaults.items():
@@ -185,7 +185,7 @@ def cmd_generate(args) -> int:
     except DriftLabError as exc:
         raise ConfigError(f"--kind/--changes/--width: {exc}")
     stream = gen_drift_stream(profile, args.family, args.n, seed=args.seed)
-    write_csv(args.out, stream, header=True)
+    write_csv(args.out, stream)
     sidecar = {
         "family": args.family,
         "kind": args.kind,
@@ -234,30 +234,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="one or more sources (paths or gen: specs)",
     )
     compare.add_argument("--format", choices=("csv", "arff"))
-    compare.add_argument("--learners", default="nb")
+    compare.add_argument("--learners", default=",".join(GridSpec.learners))
     compare.add_argument("--al", default=",".join(GridSpec.active))
     compare.add_argument("--sl", default=",".join(GridSpec.self_label))
-    compare.add_argument("--budgets", default="0.01,0.05,0.10,0.20,0.50")
+    # two decimals print the grid's budgets exactly; a finer one needs more
+    compare.add_argument("--budgets", default=",".join(f"{b:.2f}" for b in GridSpec.budgets))
     compare.add_argument("--seeds", type=int, default=1, help="seed count")
-    compare.add_argument("--window", type=int, default=1000)
+    compare.add_argument("--window", type=int, default=GridSpec.window)
     compare.add_argument("--jobs", type=int, default=None)
     compare.add_argument("--table-out", dest="table_out")
     compare.add_argument("--records-out", dest="records_out")
     compare.set_defaults(handler=cmd_compare)
 
     generate = sub.add_parser("generate", help="write a synthetic stream")
-    generate.add_argument(
-        "--kind",
-        required=True,
-        choices=("sudden", "gradual", "incremental", "recurring"),
-    )
+    generate.add_argument("--kind", required=True, choices=KINDS)
     generate.add_argument("--family", default="gaussian-clusters")
     generate.add_argument("--n", type=int, required=True)
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--out", required=True)
     generate.add_argument("--changes", help="comma list (default: one at n/2)")
-    generate.add_argument("--width", type=int, default=0)
-    generate.add_argument("--cycle", type=int, default=2)
+    generate.add_argument("--width", type=int, default=DriftProfile.width)
+    generate.add_argument("--cycle", type=int, default=DriftProfile.cycle_length)
     generate.set_defaults(handler=cmd_generate)
     return parser
 

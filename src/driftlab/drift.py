@@ -7,9 +7,8 @@ and yields ``epsilon = p + s``; :class:`EddmDetector` tracks distances
 between consecutive errors and yields the similarity ratio
 ``zeta = (p' + 2s') / (p'_max + 2s'_max)`` clamped to [0.9, 1.0].
 
-Both detectors run in continuous mode by default: a change signal
-resets the detector's own statistics so it can re-arm, and never
-touches any classifier.
+A change signal resets the detector's own statistics so it can re-arm,
+as both detectors are defined; it never touches any classifier.
 """
 
 from __future__ import annotations
@@ -36,10 +35,9 @@ class DdmDetector:
     fire an alarm.
     """
 
-    def __init__(self, warmup: int = 30, min_errors: int = 30, continuous: bool = True):
+    def __init__(self, warmup: int = 30, min_errors: int = 30):
         self.warmup = int(warmup)
         self.min_errors = int(min_errors)
-        self.continuous = bool(continuous)
         self.reset()
 
     def reset(self):
@@ -69,11 +67,9 @@ class DdmDetector:
                 level = CHANGE
             elif ps > self.p_min + 2.0 * self.s_min:
                 level = WARNING
-        self.level = level
-        if level == CHANGE and self.continuous:
-            saved = self.level
+        if level == CHANGE:
             self.reset()
-            self.level = saved
+        self.level = level
         return level
 
     def epsilon(self) -> float:
@@ -92,10 +88,11 @@ class EddmDetector:
     its 1-based position and back-to-back errors measure 1. The largest
     recorded ``p' + 2s'`` (kept as a pair) is the reference scale;
     shrinking distances pull the ratio ``zeta`` below 1. Levels need
-    ``warmup_errors`` errors; until then, and again after a continuous
-    reset, ``similarity`` holds its last value (initially 1.0). A correct
-    outcome returns the held level: a ``warning`` holds until the next
-    error, while ``change`` is returned only by the error that raises it.
+    ``warmup_errors`` errors; until then, and again after the reset that
+    follows a change, ``similarity`` holds its last value (initially
+    1.0). A correct outcome returns the held level: a ``warning`` holds
+    until the next error, while ``change`` is returned only by the error
+    that raises it.
     """
 
     def __init__(
@@ -103,12 +100,10 @@ class EddmDetector:
         warmup_errors: int = 30,
         change_threshold: float = 0.9,
         warning_threshold: float = 0.95,
-        continuous: bool = True,
     ):
         self.warmup_errors = int(warmup_errors)
         self.change_threshold = float(change_threshold)
         self.warning_threshold = float(warning_threshold)
-        self.continuous = bool(continuous)
         self._since = 0
         self._raw = 1.0
         self.level = STABLE
@@ -151,8 +146,7 @@ class EddmDetector:
         if level == CHANGE:
             # an alarm is an event: the next correct outcomes report stable
             self.level = STABLE
-            if self.continuous:
-                self._reset_moments()
+            self._reset_moments()
         else:
             self.level = level
         return level

@@ -35,10 +35,8 @@ class PrequentialWindow:
         return self
 
     def update(self, loss) -> None:
-        if loss.__class__ is not int or not 0 <= loss <= 1:
-            loss = int(loss)
-            if loss not in (0, 1):
-                raise ValueError("prequential loss must be 0 or 1")
+        if loss not in (0, 1):
+            raise ValueError("prequential loss must be 0 or 1")
         if len(self._losses) == self.window:
             self._sum -= self._losses[0]
         self._losses.append(loss)

@@ -41,8 +41,7 @@ class GridSpec:
     self_label: tuple = tuple(name for name, make in SELF_LABEL.items() if make)
     budgets: tuple = (0.01, 0.05, 0.10, 0.20, 0.50)
     seeds: tuple = (0,)
-    base_active: str = "randvar"
-    window: int = 1000
+    window: int = HybridConfig.window
 
     def __post_init__(self):
         if not self.streams:
@@ -51,7 +50,7 @@ class GridSpec:
             raise ConfigError("grid needs at least one seed")
         for kind, names, registry in (
             ("learner", self.learners, LEARNERS),
-            ("active strategy", (*self.active, self.base_active), ACTIVE),
+            ("active strategy", self.active, ACTIVE),
             ("self-label strategy", self.self_label, SELF_LABEL),
         ):
             for name in names:
@@ -70,7 +69,11 @@ class GridSpec:
 
 
 def grid_rows(spec: GridSpec) -> list:
-    """All table rows: baselines per query strategy, then hybrids."""
+    """All table rows: baselines per query strategy, then hybrids.
+
+    Hybrids pair with ``randvar``: ``invunc`` reads the adaptive
+    threshold that only ``randvar`` publishes.
+    """
     rows = []
     for stream in spec.streams:
         for learner in spec.learners:
@@ -81,14 +84,7 @@ def grid_rows(spec: GridSpec) -> list:
                     )
                 for sl in spec.self_label:
                     rows.append(
-                        GridRow(
-                            stream,
-                            learner,
-                            f"{spec.base_active}+{sl}",
-                            spec.base_active,
-                            sl,
-                            budget,
-                        )
+                        GridRow(stream, learner, f"randvar+{sl}", "randvar", sl, budget)
                     )
     return rows
 
@@ -161,7 +157,11 @@ def run_grid(spec: GridSpec, jobs: int = 1) -> GridResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, tasks, chunksize=4))
     else:
-        outcomes = [_run_cell(task) for task in tasks]
+        try:
+            outcomes = [_run_cell(task) for task in tasks]
+        finally:
+            # the cache serves one grid; workers' caches die with the pool
+            _stream_cache.clear()
 
     n_seeds = len(spec.seeds)
     cells = []

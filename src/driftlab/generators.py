@@ -292,18 +292,16 @@ FAMILIES = {
 }
 
 
-def make_family(family, **params):
-    if isinstance(family, str):
-        try:
-            cls = FAMILIES[family]
-        except KeyError:
-            known = ", ".join(sorted(FAMILIES))
-            raise ConfigError(f"unknown concept family {family!r} (known: {known})") from None
-        try:
-            return cls(**params)
-        except TypeError as exc:
-            raise ConfigError(f"bad parameters for family {family!r}: {exc}") from None
-    return family
+def make_family(family: str, **params):
+    try:
+        cls = FAMILIES[family]
+    except KeyError:
+        known = ", ".join(sorted(FAMILIES))
+        raise ConfigError(f"unknown concept family {family!r} (known: {known})") from None
+    try:
+        return cls(**params)
+    except TypeError as exc:
+        raise ConfigError(f"bad parameters for family {family!r}: {exc}") from None
 
 
 def gen_drift_stream(profile: DriftProfile, family, n: int, seed, name=None, **family_params) -> LoadedStream:

@@ -14,6 +14,7 @@ query fires.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,40 +125,26 @@ class HybridConfig:
         return asdict(self)
 
 
-class StepRecord:
+class StepRecord(NamedTuple):
     """Everything observable about one processed instance."""
 
-    FIELDS = (
-        "index",
-        "action",
-        "predicted",
-        "true_label",
-        "correct",
-        "top_prob",
-        "query_threshold",
-        "al_threshold",
-        "sl_threshold",
-        "error_estimate",
-        "similarity",
-        "windowed_error",
-        "windowed_accuracy",
-        "spend",
-        "queried",
-        "self_labeled",
-        "skipped",
-    )
-    __slots__ = FIELDS
-
-    def __init__(self, **values):
-        for name in self.FIELDS:
-            setattr(self, name, values[name])
-
-    def as_tuple(self):
-        return tuple(getattr(self, name) for name in self.FIELDS)
-
-    def __repr__(self):
-        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.FIELDS[:6])
-        return f"StepRecord({inner}, ...)"
+    index: int
+    action: str
+    predicted: int
+    true_label: int | None
+    correct: bool
+    top_prob: float
+    query_threshold: float | None
+    al_threshold: float | None
+    sl_threshold: float | None
+    error_estimate: float
+    similarity: float
+    windowed_error: float
+    windowed_accuracy: float
+    spend: float
+    queried: int
+    self_labeled: int
+    skipped: int
 
 
 @dataclass(frozen=True)
@@ -183,7 +170,7 @@ class HybridRunner:
     :func:`build_runner` to resolve a :class:`HybridConfig`.
     """
 
-    def __init__(self, schema, learner, active, self_label, budget, window=1000):
+    def __init__(self, schema, learner, active, self_label, budget, window=HybridConfig.window):
         self.schema = schema
         self.learner = learner
         self.active = active

@@ -32,7 +32,7 @@ from .core import (
     StreamSchema,
     UnknownClass,
 )
-from .generators import FAMILIES, DriftProfile, gen_drift_stream
+from .generators import FAMILIES, SUDDEN, DriftProfile, gen_drift_stream
 
 
 class MalformedHeader(DriftLabError):
@@ -88,12 +88,12 @@ def read_csv(path, schema: StreamSchema | None = None, has_header="auto", name=N
     instances = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = iter(reader)
         first = None
         header_names = None
-        for row in rows:
+        for row in reader:
             if row:
                 first = row
+                first_line = reader.line_num
                 break
         if first is not None:
             treat_as_header = has_header is True or (has_header == "auto" and _is_header_row(first))
@@ -109,10 +109,10 @@ def read_csv(path, schema: StreamSchema | None = None, has_header="auto", name=N
                 if a.kind == NOMINAL
             }
 
-            def parse_row(row, row_no):
+            def parse_row(row, line):
                 if len(row) != n_attrs + 1:
                     raise SchemaMismatch(
-                        f"{path}:{row_no}: expected {n_attrs + 1} fields, got {len(row)}"
+                        f"{path}:{line}: expected {n_attrs + 1} fields, got {len(row)}"
                     )
                 feats = [None] * n_attrs
                 for i in range(n_attrs):
@@ -124,42 +124,41 @@ def read_csv(path, schema: StreamSchema | None = None, has_header="auto", name=N
                             feats[i] = nominal_index[i][cell]
                         except KeyError:
                             raise UnknownNominalValue(
-                                f"{path}:{row_no}: {cell!r} is not a declared value"
+                                f"{path}:{line}: {cell!r} is not a declared value"
                                 f" of attribute {schema.attributes[i].name!r}"
                             ) from None
                     else:
                         feats[i] = _parse_numeric(row[i])
-                label = schema.class_index(row[-1].strip())
+                try:
+                    label = schema.class_index(row[-1].strip())
+                except UnknownClass as exc:
+                    raise UnknownClass(f"{path}:{line}: {exc}") from None
                 return Instance(tuple(feats), label)
 
         else:
             class_ids: dict[str, int] = {}
             n_attrs = None
 
-            def parse_row(row, row_no):
+            def parse_row(row, line):
                 nonlocal n_attrs
                 if n_attrs is None:
                     n_attrs = len(row) - 1
                     if n_attrs < 1:
-                        raise SchemaMismatch(f"{path}:{row_no}: rows need at least 2 fields")
+                        raise SchemaMismatch(f"{path}:{line}: rows need at least 2 fields")
                 if len(row) != n_attrs + 1:
                     raise SchemaMismatch(
-                        f"{path}:{row_no}: expected {n_attrs + 1} fields, got {len(row)}"
+                        f"{path}:{line}: expected {n_attrs + 1} fields, got {len(row)}"
                     )
                 feats = tuple(_parse_numeric(c) for c in row[:-1])
                 cls = row[-1].strip()
                 label = class_ids.setdefault(cls, len(class_ids))
                 return Instance(feats, label)
 
-        row_no = 1 if header_names is None else 2
         if first is not None:
-            instances.append(parse_row(first, row_no))
-            row_no += 1
-        for row in rows:
-            if not row:
-                continue
-            instances.append(parse_row(row, row_no))
-            row_no += 1
+            instances.append(parse_row(first, first_line))
+        for row in reader:
+            if row:
+                instances.append(parse_row(row, reader.line_num))
 
         out_schema = schema
         if schema is None:
@@ -309,13 +308,13 @@ def _format_cell(attr: Attribute, value) -> str:
     return repr(float(value))
 
 
-def write_csv(path, stream: LoadedStream, header=True) -> None:
-    """Write a stream as CSV; floats use shortest round-trip formatting."""
+def write_csv(path, stream: LoadedStream) -> None:
+    """Write a stream as CSV under a header row; floats use shortest
+    round-trip formatting."""
     schema = stream.schema
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow([a.name for a in schema.attributes] + ["class"])
+        writer.writerow([a.name for a in schema.attributes] + ["class"])
         for inst in stream.instances:
             if inst.label is None:
                 raise ValueError("cannot write an instance without a label")
@@ -328,44 +327,36 @@ def write_csv(path, stream: LoadedStream, header=True) -> None:
 class StreamSpec:
     """Picklable description of where a stream comes from.
 
-    Either a file (``path`` + ``fmt``) or generator settings. A spec can
-    be loaded many times; generated streams take their seed from the
-    spec itself or, when unset there, from the caller's fallback so
-    experiment grids can vary streams per run seed.
+    Either a file (``path`` + ``fmt``) or generator settings, a dict with
+    every key :func:`parse_stream_spec` fills in. A spec can be loaded
+    many times; generated streams take their seed from the spec itself
+    or, when unset there, from the caller's fallback so experiment grids
+    can vary streams per run seed.
     """
 
     name: str
     path: str | None = None
     fmt: str = "csv"
-    has_header: bool | str = "auto"
     generator: dict | None = None
 
     def load(self, seed_fallback=None) -> LoadedStream:
         if self.generator is not None:
             g = self.generator
             profile = DriftProfile(
-                g.get("kind", "sudden"),
-                tuple(g.get("change_points", ())),
-                g.get("width", 0),
-                g.get("cycle_length", 2),
+                g["kind"], tuple(g["change_points"]), g["width"], g["cycle_length"]
             )
-            seed = g.get("seed")
+            seed = g["seed"]
             if seed is None:
                 seed = seed_fallback if seed_fallback is not None else 0
             return gen_drift_stream(
-                profile,
-                g.get("family", "gaussian-clusters"),
-                g.get("n", 10000),
-                seed,
-                name=self.name,
-                **g.get("params", {}),
+                profile, g["family"], g["n"], seed, name=self.name, **g["params"]
             )
         if self.path is None:
             raise ConfigError(f"stream spec {self.name!r} has neither a path nor a generator")
         if self.fmt == "arff":
             return read_arff(self.path, name=self.name)
         if self.fmt == "csv":
-            return read_csv(self.path, has_header=self.has_header, name=self.name)
+            return read_csv(self.path, name=self.name)
         raise ConfigError(f"--format must be csv or arff, got {self.fmt!r}")
 
     def describe(self) -> dict:
@@ -378,7 +369,7 @@ _GEN_INT_KEYS = {"n", "width", "seed", "classes", "dims", "cycle"}
 _GEN_FLOAT_KEYS = {"radius", "spread", "rotation", "noise"}
 
 
-def parse_stream_spec(text, fmt=None, has_header="auto") -> StreamSpec:
+def parse_stream_spec(text, fmt=None) -> StreamSpec:
     """Turn a CLI stream argument into a StreamSpec.
 
     ``gen:`` prefixes describe a synthetic stream as comma-separated
@@ -430,11 +421,11 @@ def parse_stream_spec(text, fmt=None, has_header="auto") -> StreamSpec:
                 params[key] = settings.pop(key)
         generator = {
             "family": family,
-            "kind": settings.get("kind", "sudden"),
+            "kind": settings.get("kind", SUDDEN),
             "n": settings.get("n", 10000),
             "change_points": list(settings.get("change_points", ())),
-            "width": settings.get("width", 0),
-            "cycle_length": settings.get("cycle_length", 2),
+            "width": settings.get("width", DriftProfile.width),
+            "cycle_length": settings.get("cycle_length", DriftProfile.cycle_length),
             "seed": settings.get("seed"),
             "params": params,
         }
@@ -445,4 +436,4 @@ def parse_stream_spec(text, fmt=None, has_header="auto") -> StreamSpec:
     name = os.path.splitext(os.path.basename(text))[0]
     if fmt is None:
         fmt = "arff" if text.lower().endswith(".arff") else "csv"
-    return StreamSpec(name=name, path=text, fmt=fmt, has_header=has_header)
+    return StreamSpec(name=name, path=text, fmt=fmt)

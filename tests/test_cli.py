@@ -43,7 +43,7 @@ class TestRun:
         run_cli("run", "--stream", TINY, "--stride", "50", "--series-out", str(series))
         with open(series, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == list(StepRecord.FIELDS)
+        assert rows[0] == list(StepRecord._fields)
         assert len(rows) == 1 + 4  # indices 50, 100, 150, 200
         index_col = rows[0].index("index")
         assert [r[index_col] for r in rows[1:]] == ["50", "100", "150", "200"]

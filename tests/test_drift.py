@@ -47,7 +47,7 @@ class TestDdm:
         assert det.update(True) == CHANGE
 
     def test_warning_level_threshold_arithmetic(self):
-        det = DdmDetector(continuous=False)
+        det = DdmDetector()
         det.n = 10000
         det.errors = 2850
         det.p = 0.285
@@ -103,17 +103,6 @@ class TestDdm:
         assert det.level == CHANGE  # the signal itself is preserved
         assert det.n == 0
         assert det.epsilon() == 0.0
-
-    def test_non_continuous_keeps_state_after_change(self):
-        det = DdmDetector(continuous=False)
-        rng = np.random.default_rng(0)
-        outcomes = np.concatenate([rng.random(2000) < 0.1, rng.random(1000) < 0.8])
-        fired = False
-        for o in outcomes:
-            if det.update(bool(o)) == CHANGE:
-                fired = True
-                break
-        assert fired and det.n > 0
 
     def test_minima_recorded_as_a_pair(self):
         det = DdmDetector()
@@ -278,12 +267,6 @@ class TestEddm:
             assert det.update(False) == STABLE
         assert det.level == STABLE
         assert det.similarity() == held
-
-    def test_change_is_returned_once_without_continuous_reset(self):
-        det = EddmDetector(continuous=False)
-        self._warm_then_shrink(det, 5, CHANGE)
-        assert det.update(False) == STABLE
-        assert det.error_count > 0  # moments kept
 
     def test_warning_is_held_until_next_error(self):
         det = EddmDetector()

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -60,10 +61,10 @@ class TestPrequentialWindow:
 
     def test_rejects_other_losses(self):
         win = PrequentialWindow()
-        with pytest.raises(ValueError):
-            win.update(2)
-        with pytest.raises(ValueError):
-            win.update(-1)
+        for loss in (2, -1, 0.7, 1.9, math.nan):
+            with pytest.raises(ValueError):
+                win.update(loss)
+        assert len(win) == 0
 
     def test_window_validation(self):
         with pytest.raises(ConfigError):

@@ -41,8 +41,6 @@ class TestGridSpec:
         with pytest.raises(ConfigError):
             GridSpec(streams=(stream,), self_label=("none",))
         with pytest.raises(ConfigError):
-            GridSpec(streams=(stream,), base_active="bayes")
-        with pytest.raises(ConfigError):
             GridSpec(streams=(stream,), budgets=(1.5,))
 
     def test_streams_differing_only_in_seed_need_names(self):
@@ -71,18 +69,6 @@ class TestGridRows:
         )
         labels = [row.strategy for row in grid_rows(spec)]
         assert labels == ["random", "sampling", "randvar", "randvar+fixed", "randvar+cddm"]
-
-    def test_base_active_override(self):
-        spec = GridSpec(
-            streams=(tiny_stream(),),
-            active=("random",),
-            self_label=("fixed",),
-            budgets=(0.1,),
-            base_active="sampling",
-        )
-        hybrid = grid_rows(spec)[-1]
-        assert hybrid.strategy == "sampling+fixed"
-        assert hybrid.active == "sampling"
 
 
 class TestResolveJobs:
@@ -121,21 +107,27 @@ class TestRunGrid:
         assert all(cell.error is None for cell in result.cells)
         assert all(cell.seeds == 3 for cell in result.cells)
 
-    def test_failure_cell_recorded_not_fatal(self):
-        # invunc needs the adaptive query strategy; pairing it with a
-        # different base must fail inside its own cell only
+    def test_failure_cell_recorded_not_fatal(self, tmp_path):
+        # a stream whose file is gone fails inside its own cells only
+        missing = parse_stream_spec(str(tmp_path / "gone.csv"))
         spec = GridSpec(
-            streams=(tiny_stream(),),
+            streams=(tiny_stream(), missing),
             self_label=("fixed", "invunc"),
             budgets=(0.1,),
-            base_active="sampling",
         )
         result = run_grid(spec)
         failed = [c for c in result.cells if c.error is not None]
-        assert len(failed) == 1
-        assert failed[0].strategy == "sampling+invunc"
-        assert "ConfigError" in failed[0].error
+        assert [c.stream for c in failed] == ["gone"] * 5
+        assert all("FileNotFoundError" in c.error for c in failed)
+        assert all(c.error is None for c in result.cells if c.stream != "gone")
         assert list(result.report.failures) == failed
+
+    def test_stream_cache_is_emptied_after_a_grid(self):
+        spec = GridSpec(
+            streams=(tiny_stream(),), active=("random",), self_label=(), budgets=(1.0,)
+        )
+        run_grid(spec)
+        assert experiments._stream_cache == {}
 
     def test_deterministic_across_calls(self):
         spec = GridSpec(

@@ -232,11 +232,6 @@ def test_make_family_bad_params():
         make_family("sea-like-thresholds", dims=7)
 
 
-def test_make_family_passes_instances_through():
-    fam = GaussianClusters()
-    assert make_family(fam) is fam
-
-
 @pytest.mark.parametrize(
     "setting", ["radius=inf", "radius=nan", "spread=nan", "spread=inf", "rotation=inf", "rotation=-inf"]
 )

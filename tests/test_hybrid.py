@@ -83,7 +83,7 @@ class NeverQuery:
     def decide(self, posterior):
         from driftlab.active import QueryDecision
 
-        return QueryDecision(False, 0.0, posterior.top_prob)
+        return QueryDecision(False, 0.0)
 
 
 class AlwaysQuery:
@@ -92,7 +92,7 @@ class AlwaysQuery:
     def decide(self, posterior):
         from driftlab.active import QueryDecision
 
-        return QueryDecision(True, 1.0, posterior.top_prob)
+        return QueryDecision(True, 1.0)
 
 
 class RecordingSelfLabel:
@@ -386,9 +386,7 @@ class TestRunStream:
         first_records, first_summary = run_stream(stream, config, record_stride=1)
         second_records, second_summary = run_stream(stream, config, record_stride=1)
         assert first_summary == second_summary
-        assert [r.as_tuple() for r in first_records] == [
-            r.as_tuple() for r in second_records
-        ]
+        assert first_records == second_records
 
     def test_none_self_label_matches_inert_stub(self):
         # a hybrid run whose self-labeler never fires must walk the same
@@ -404,11 +402,8 @@ class TestRunStream:
 
         assert stub_summary.accuracy == pure_summary.accuracy
         assert stub_summary.queried == pure_summary.queried
-        skip = StepRecord.FIELDS.index("sl_threshold")
         for mine, pure in zip(stub_records, pure_records):
-            a, b = list(mine.as_tuple()), list(pure.as_tuple())
-            a[skip] = b[skip] = None
-            assert a == b
+            assert mine._replace(sl_threshold=None) == pure._replace(sl_threshold=None)
 
     def test_summary_counts_add_up(self):
         stream = gen_stream(n=1200)
@@ -430,7 +425,7 @@ class TestRunStream:
 
 
 def test_step_record_fields_round_trip():
-    values = {name: i for i, name in enumerate(StepRecord.FIELDS)}
+    values = {name: i for i, name in enumerate(StepRecord._fields)}
     record = StepRecord(**values)
-    assert record.as_tuple() == tuple(range(len(StepRecord.FIELDS)))
+    assert tuple(record) == tuple(range(len(StepRecord._fields)))
     assert "index=0" in repr(record)

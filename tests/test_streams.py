@@ -74,6 +74,19 @@ class TestReadCsv:
         with pytest.raises(UnknownClass, match="sprint"):
             read_csv(p, schema=MIXED_SCHEMA, has_header=False)
 
+    def test_unknown_class_names_file_line(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("temp,sky,class\n1.0,clear,go\n\n1.0,clear,sprint\n")
+        with pytest.raises(UnknownClass, match=r"s\.csv:4: unknown class value 'sprint'"):
+            read_csv(p, schema=MIXED_SCHEMA)
+
+    @pytest.mark.parametrize("schema", [MIXED_SCHEMA, None])
+    def test_errors_name_file_lines_past_blank_lines(self, tmp_path, schema):
+        p = tmp_path / "s.csv"
+        p.write_text("temp,sky,class\n\n1.0,clear,go\n\n\n1.0,go\n")
+        with pytest.raises(SchemaMismatch, match=r"s\.csv:6: expected 3 fields"):
+            read_csv(p, schema=schema)
+
     def test_inferred_schema_is_all_numeric(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("a,b,class\n1.0,2.0,up\n3.5,bad,down\n0.5,4.0,up\n")
