@@ -13,22 +13,18 @@ sharing one generator between components changes the values each sees.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .core import ClassPosterior, ConfigError, draws
 
 
-class QueryDecision:
-    """Outcome of one query check plus the values that drove it."""
+class QueryDecision(NamedTuple):
+    """Outcome of one query check plus the value that drove it."""
 
-    __slots__ = ("query", "threshold")
-
-    def __init__(self, query, threshold):
-        self.query = query
-        self.threshold = threshold
-
-    def __repr__(self):
-        return f"QueryDecision(query={self.query!r}, threshold={self.threshold!r})"
+    query: bool
+    threshold: float
 
 
 class RandomQuery:

@@ -16,7 +16,7 @@ from .core import DriftLabError
 from .core import ConfigError
 from .experiments import GridSpec, resolve_jobs, run_grid
 from .evaluation import to_records, to_text
-from .generators import KINDS, DriftProfile, gen_drift_stream
+from .generators import DEFAULT_FAMILY, KINDS, DriftProfile, gen_drift_stream
 from .hybrid import ACTIVE, LEARNERS, SELF_LABEL, HybridConfig, StepRecord, run_stream
 from .streams import parse_stream_spec, write_csv
 
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     generate = sub.add_parser("generate", help="write a synthetic stream")
     generate.add_argument("--kind", required=True, choices=KINDS)
-    generate.add_argument("--family", default="gaussian-clusters")
+    generate.add_argument("--family", default=DEFAULT_FAMILY)
     generate.add_argument("--n", type=int, required=True)
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--out", required=True)

@@ -99,32 +99,6 @@ class StreamSchema:
         except ValueError:
             raise UnknownClass(f"unknown class value {name!r}") from None
 
-    def validate_instance(self, instance: "Instance") -> None:
-        """Raise if the instance violates arity, value-kind or label range."""
-        feats = instance.features
-        if len(feats) != len(self.attributes):
-            raise SchemaMismatch(
-                f"expected {len(self.attributes)} feature values, got {len(feats)}"
-            )
-        for attr, value in zip(self.attributes, feats):
-            if value is MISSING:
-                continue
-            if attr.kind == NUMERIC:
-                if not isinstance(value, (int, float)):
-                    raise SchemaMismatch(
-                        f"attribute {attr.name!r} expects a number, got {value!r}"
-                    )
-            else:
-                if not isinstance(value, int) or not 0 <= value < attr.cardinality:
-                    raise SchemaMismatch(
-                        f"attribute {attr.name!r} expects a category index"
-                        f" below {attr.cardinality}, got {value!r}"
-                    )
-        if instance.label is not None and not 0 <= instance.label < self.class_count:
-            raise UnknownClass(
-                f"label index {instance.label} outside [0, {self.class_count})"
-            )
-
 
 class Instance:
     """One stream element: a feature tuple plus the hidden true label index.

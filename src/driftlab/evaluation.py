@@ -22,7 +22,7 @@ from .core import ConfigError
 class PrequentialWindow:
     """Sliding-window 0/1 loss tracker with an exact running sum."""
 
-    def __init__(self, window: int = 1000):
+    def __init__(self, window: int):
         if window < 1:
             raise ConfigError("evaluation window must be at least 1")
         self.window = int(window)

@@ -290,6 +290,7 @@ FAMILIES = {
     RotatingHyperplane.name: RotatingHyperplane,
     SeaThresholds.name: SeaThresholds,
 }
+DEFAULT_FAMILY = GaussianClusters.name
 
 
 def make_family(family: str, **params):

@@ -9,6 +9,12 @@ window, and the budget accounting; self-labeling is free by
 construction. Label access is split in two: the evaluation score reads
 the hidden label every step, the learning path sees it only when a
 query fires.
+
+The runner is the one owner of run-loop state: it keeps the counters
+and publishes four read-only signals (``query_threshold``,
+``error_estimate``, ``similarity``, ``windowed_error``). A self-label
+policy is called as ``decide(posterior, runner)`` and reads what it
+needs; step records read the same properties.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from .drift import DdmDetector, EddmDetector
 from .evaluation import PrequentialWindow
 from .learners import AccuracyWeightedEnsemble, HoeffdingTree, NaiveBayes
 from .selflabel import (
-    Feedback,
     FixedConfidence,
     InformedConfidence,
     RandomizedAdaptiveConfidence,
@@ -40,26 +45,6 @@ SKIPPED = "skipped"
 
 class EmptyStream(DriftLabError):
     """Raised when a run is asked to process zero instances."""
-
-
-class BudgetState:
-    """Label spend accounting: bought labels as a share of all instances."""
-
-    __slots__ = ("budget", "labeled", "seen")
-
-    def __init__(self, budget: float):
-        if not 0.0 <= budget <= 1.0:
-            raise ConfigError("budget must lie in [0, 1]")
-        self.budget = float(budget)
-        self.labeled = 0
-        self.seen = 0
-
-    @property
-    def spend(self) -> float:
-        return self.labeled / self.seen if self.seen else 0.0
-
-    def open(self) -> bool:
-        return self.spend < self.budget
 
 
 # One name -> factory registry per component kind. Validation, CLI
@@ -164,29 +149,61 @@ class RunSummary:
 
 
 class HybridRunner:
-    """Per-instance orchestration over pre-built components.
+    """Per-instance orchestration over pre-built components, and the one
+    owner of run-loop state: the ``seen``, ``queried`` and
+    ``self_labeled`` counters and the signals informed self-labeling reads.
 
     Build one straight from parts for white-box tests, or through
     :func:`build_runner` to resolve a :class:`HybridConfig`.
     """
 
     def __init__(self, schema, learner, active, self_label, budget, window=HybridConfig.window):
+        if not 0.0 <= budget <= 1.0:
+            raise ConfigError("budget must lie in [0, 1]")
         self.schema = schema
         self.learner = learner
         self.active = active
         self.self_label = self_label
-        self.budget = BudgetState(budget)
+        self.budget = float(budget)
         self.evaluation = PrequentialWindow(window)
         self.error_monitor = DdmDetector()
         self.distance_monitor = EddmDetector()
         self.error_window = PrequentialWindow(100)
         self.max_overshoot = 0.0
         self.correct_total = 0
+        self.seen = 0
         self.queried = 0
         self.self_labeled = 0
-        self.skipped = 0
         self._windowed_accuracy_sum = 0.0
-        self._feedback = Feedback(class_count=schema.class_count)
+
+    @property
+    def skipped(self) -> int:
+        return self.seen - self.queried - self.self_labeled
+
+    @property
+    def spend(self) -> float:
+        """Bought labels as a share of all instances seen."""
+        return self.queried / self.seen if self.seen else 0.0
+
+    @property
+    def query_threshold(self) -> float | None:
+        """The active strategy's adaptive threshold; None when it has none."""
+        return self.active.adaptive_threshold
+
+    @property
+    def error_estimate(self) -> float:
+        """DDM's error-rate estimate over the bought labels."""
+        return self.error_monitor.epsilon()
+
+    @property
+    def similarity(self) -> float:
+        """EDDM's distribution-similarity score over the bought labels."""
+        return self.distance_monitor.similarity()
+
+    @property
+    def windowed_error(self) -> float:
+        """Error rate over the last 100 bought labels."""
+        return self.error_window.error_rate()
 
     def process_instance(self, instance: Instance, want_record: bool = True):
         """Run one instance; returns a :class:`StepRecord` or, with
@@ -195,7 +212,6 @@ class HybridRunner:
         truth = instance.label
         features = instance.features
         learner = self.learner
-        budget = self.budget
         posterior = learner.predict(features)
         predicted = posterior.top_index
         correct = predicted == truth
@@ -204,45 +220,32 @@ class HybridRunner:
         self.evaluation.update(loss)
         if correct:
             self.correct_total += 1
-        budget.seen = seen = budget.seen + 1
+        self.seen = seen = self.seen + 1
 
         action = SKIPPED
         true_label = al_threshold = sl_threshold = None
-        if budget.open():
-            decision = self.active.decide(posterior)
-            al_threshold = decision.threshold
-            if decision.query:
+        if self.queried / seen < self.budget:  # spend, with seen >= 1
+            query, al_threshold = self.active.decide(posterior)
+            if query:
                 # the label is bought: it may now feed learning state
                 true_label = truth
-                budget.labeled = labeled = budget.labeled + 1
+                self.queried = queried = self.queried + 1
                 is_error = not correct
                 self.error_monitor.update(is_error)
                 self.distance_monitor.update(is_error)
                 self.error_window.update(loss)
                 learner.train(features, truth)
                 action = QUERIED
-                overshoot = labeled - budget.budget * seen
+                overshoot = queried - self.budget * seen
                 if overshoot > self.max_overshoot:
                     self.max_overshoot = overshoot
 
         if action is SKIPPED and self.self_label is not None:
-            feedback = self._feedback
-            feedback.query_threshold = self.active.adaptive_threshold
-            feedback.error_estimate = self.error_monitor.epsilon()
-            feedback.similarity = self.distance_monitor.similarity()
-            feedback.windowed_error = self.error_window.error_rate()
-            decision = self.self_label.decide(posterior, feedback)
-            sl_threshold = decision.threshold
-            if decision.train:
+            train, sl_threshold = self.self_label.decide(posterior, self)
+            if train:
                 learner.train(features, predicted)
+                self.self_labeled += 1
                 action = SELF_LABELED
-
-        if action is QUERIED:
-            self.queried += 1
-        elif action is SELF_LABELED:
-            self.self_labeled += 1
-        else:
-            self.skipped += 1
 
         windowed_accuracy = self.evaluation.accuracy()
         self._windowed_accuracy_sum += windowed_accuracy
@@ -255,26 +258,26 @@ class HybridRunner:
             true_label=true_label,
             correct=correct,
             top_prob=posterior.top_prob,
-            query_threshold=self.active.adaptive_threshold,
+            query_threshold=self.query_threshold,
             al_threshold=al_threshold,
             sl_threshold=sl_threshold,
-            error_estimate=self.error_monitor.epsilon(),
-            similarity=self.distance_monitor.similarity(),
-            windowed_error=self.error_window.error_rate(),
+            error_estimate=self.error_estimate,
+            similarity=self.similarity,
+            windowed_error=self.windowed_error,
             windowed_accuracy=windowed_accuracy,
-            spend=self.budget.spend,
+            spend=self.spend,
             queried=self.queried,
             self_labeled=self.self_labeled,
             skipped=self.skipped,
         )
 
     def summary(self, stream_name: str) -> RunSummary:
-        seen = self.budget.seen
+        seen = self.seen
         return RunSummary(
             stream=stream_name,
             instances=seen,
             accuracy=self.correct_total / seen if seen else 0.0,
-            final_spend=self.budget.spend,
+            final_spend=self.spend,
             queried=self.queried,
             self_labeled=self.self_labeled,
             skipped=self.skipped,

@@ -19,6 +19,7 @@ from .core import (
     ClassPosterior,
     ConfigError,
     DriftLabError,
+    InvalidPosterior,
     StreamSchema,
 )
 
@@ -247,7 +248,20 @@ class NaiveBayes:
     def predict(self, features) -> ClassPosterior:
         if self.trained == 0:
             return ClassPosterior.uniform(self._class_count)
-        return ClassPosterior.trusted(self.predict_probs(features))
+        try:
+            return ClassPosterior.trusted(self.predict_probs(features))
+        except InvalidPosterior as exc:
+            # name a numeric attribute whose stored mean or M2, or whose
+            # scaled squared deviation for this cell, is no longer finite
+            for y in range(self._class_count):
+                for j in self._numeric:
+                    mean, v = self._mean[y][j], features[j]
+                    d = 0.0 if v is MISSING else v - mean
+                    term = d * d * self._inv2var[y][j]
+                    if self._n[y][j] and not all(map(math.isfinite, (mean, self._m2[y][j], term))):
+                        name = self.schema.attributes[j].name
+                        raise InvalidPosterior(f"{exc} (numeric attribute {name!r} overflowed)") from exc
+            raise
 
 
 class _Histogram:

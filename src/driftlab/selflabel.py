@@ -1,67 +1,33 @@
 """Self-labeling policies: when to trust a prediction as its own label.
 
+Every policy is called as ``decide(posterior, run)``, where ``run`` is
+the surrounding run loop (a :class:`~driftlab.hybrid.HybridRunner`).
 Two families live here. Blind policies look only at the posterior (a
-fixed or self-adjusting confidence bar, optionally jittered). Informed
-policies read detector feedback published by the surrounding run loop -
-the active strategy's adaptive threshold, an error-rate estimate, a
-distribution-similarity score, or a sliding-window error rate - and map
-it to a confidence bar through the pure functions below. Informed
-policies keep no state of their own, so the mapping functions double as
-the exact math contract.
+fixed or self-adjusting confidence bar, optionally jittered) and read
+nothing from ``run``. Informed policies read one of the four signals the
+run loop publishes - the active strategy's adaptive threshold
+(``query_threshold``), DDM's error-rate estimate (``error_estimate``),
+EDDM's distribution similarity (``similarity``) or the sliding-window
+error rate (``windowed_error``) - and map it to a confidence bar through
+the pure functions below. Informed policies keep no state of their own,
+so the mapping functions double as the exact math contract.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import ClassPosterior, ConfigError, draws
 
 
-class Feedback:
-    """Per-step snapshot of run-loop signals for informed self-labeling.
-
-    ``query_threshold`` is the active strategy's adaptive threshold when
-    it has one (None otherwise). ``error_estimate`` and ``similarity``
-    come from the drift detectors, ``windowed_error`` from the sliding
-    evaluation window.
-    """
-
-    __slots__ = (
-        "query_threshold",
-        "error_estimate",
-        "similarity",
-        "windowed_error",
-        "class_count",
-    )
-
-    def __init__(
-        self,
-        query_threshold=None,
-        error_estimate=0.0,
-        similarity=1.0,
-        windowed_error=0.0,
-        class_count=2,
-    ):
-        self.query_threshold = query_threshold
-        self.error_estimate = error_estimate
-        self.similarity = similarity
-        self.windowed_error = windowed_error
-        self.class_count = class_count
-
-
-class SelfLabelDecision:
+class SelfLabelDecision(NamedTuple):
     """Whether to train on the model's own prediction, and the bar used."""
 
-    __slots__ = ("train", "threshold")
-
-    def __init__(self, train, threshold):
-        self.train = train
-        self.threshold = threshold
-
-    def __repr__(self):
-        return f"SelfLabelDecision(train={self.train!r}, threshold={self.threshold!r})"
+    train: bool
+    threshold: float
 
 
 def inverted_uncertainty_threshold(query_threshold: float, class_count: int) -> float:
@@ -99,7 +65,7 @@ class FixedConfidence:
             raise ConfigError("confidence must lie in (0, 1]")
         self.confidence = float(confidence)
 
-    def decide(self, posterior: ClassPosterior, feedback: Feedback) -> SelfLabelDecision:
+    def decide(self, posterior: ClassPosterior, run) -> SelfLabelDecision:
         return SelfLabelDecision(posterior.top_prob >= self.confidence, self.confidence)
 
 
@@ -125,7 +91,7 @@ class RandomizedAdaptiveConfidence:
         rng = rng if rng is not None else np.random.default_rng(0)
         self._normal = draws(rng.standard_normal).__next__
 
-    def decide(self, posterior: ClassPosterior, feedback: Feedback) -> SelfLabelDecision:
+    def decide(self, posterior: ClassPosterior, run) -> SelfLabelDecision:
         bar = self.confidence
         randomized = bar * (1.0 + self.noise * self._normal())
         if posterior.top_prob >= randomized:
@@ -144,10 +110,12 @@ class RandomizedAdaptiveConfidence:
 
 
 class InformedConfidence:
-    """Confidence bar mapped from one published feedback signal.
+    """Confidence bar mapped from one signal the run loop publishes.
 
-    ``field`` names the :class:`Feedback` attribute to read and
-    ``threshold_fn(signal, class_count)`` maps it to the bar. A signal the
+    ``field`` names the signal, read as ``getattr(run, field)``: one of
+    ``query_threshold``, ``error_estimate``, ``similarity`` and
+    ``windowed_error``. ``threshold_fn(signal, class_count)`` maps it to
+    the bar, with the class count taken from the posterior. A signal the
     run loop does not publish (None) is a configuration error: the
     query threshold, for one, exists only under an adaptive query
     strategy.
@@ -157,13 +125,13 @@ class InformedConfidence:
         self.field = field
         self.threshold_fn = threshold_fn
 
-    def decide(self, posterior: ClassPosterior, feedback: Feedback) -> SelfLabelDecision:
-        signal = getattr(feedback, self.field)
+    def decide(self, posterior: ClassPosterior, run) -> SelfLabelDecision:
+        signal = getattr(run, self.field)
         if signal is None:
             raise ConfigError(
                 f"self-labeling on {self.field!r} needs a run loop that"
                 " publishes it; pair query-threshold self-labeling with the"
                 " variable-uncertainty strategy"
             )
-        bar = self.threshold_fn(signal, feedback.class_count)
+        bar = self.threshold_fn(signal, len(posterior.probs))
         return SelfLabelDecision(posterior.top_prob >= bar, bar)

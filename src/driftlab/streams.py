@@ -32,7 +32,7 @@ from .core import (
     StreamSchema,
     UnknownClass,
 )
-from .generators import FAMILIES, SUDDEN, DriftProfile, gen_drift_stream
+from .generators import DEFAULT_FAMILY, FAMILIES, SUDDEN, DriftProfile, gen_drift_stream
 
 
 class MalformedHeader(DriftLabError):
@@ -412,7 +412,7 @@ def parse_stream_spec(text, fmt=None) -> StreamSpec:
                     raise ConfigError(f"unknown generator key {key!r} in --stream")
             except ValueError:
                 raise ConfigError(f"bad value for generator key {key!r}: {value!r}") from None
-        family = settings.get("family", "gaussian-clusters")
+        family = settings.get("family", DEFAULT_FAMILY)
         if family not in FAMILIES:
             known = ", ".join(sorted(FAMILIES))
             raise ConfigError(f"unknown concept family {family!r} (known: {known})")

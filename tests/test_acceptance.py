@@ -34,7 +34,6 @@ from driftlab.hybrid import (
     run_stream,
 )
 from driftlab.selflabel import (
-    Feedback,
     RandomizedAdaptiveConfidence,
     error_scaled_threshold,
     inverted_uncertainty_threshold,
@@ -113,7 +112,7 @@ def sweep():
             {
                 "key": key,
                 "budget": budget,
-                "labeled": runner.budget.labeled,
+                "labeled": runner.queried,
                 "queried": summary.queried,
                 "seen": summary.instances,
                 "overshoot": summary.max_budget_overshoot,
@@ -219,9 +218,9 @@ def test_02_self_labeling_never_spends_budget(sweep):
                     labeled_before = 0
                     for instance in stream.instances:
                         record = runner.process_instance(instance)
-                        moved = runner.budget.labeled - labeled_before
+                        moved = runner.queried - labeled_before
                         assert moved == (1 if record.action == QUERIED else 0)
-                        labeled_before = runner.budget.labeled
+                        labeled_before = runner.queried
 
 
 def test_03_threshold_and_detector_formulas_match_high_precision():
@@ -389,11 +388,10 @@ def test_06_adaptive_thresholds_bounded_and_jitter_free_equivalence(sweep):
 
     # and the randomized confidence rule must walk the adaptive one
     randomized = RandomizedAdaptiveConfidence(noise=0.0, rng=np.random.default_rng(2))
-    feedback = Feedback(class_count=2)
     gamma = 1.0
     for top in tops:
         posterior = ClassPosterior([top, 1.0 - top])
-        decision = randomized.decide(posterior, feedback)
+        decision = randomized.decide(posterior, None)  # blind: reads no run
         assert decision.train == (top >= gamma)
         assert decision.threshold == gamma
         if decision.train:

@@ -10,7 +10,7 @@ import pytest
 
 from driftlab.active import RandomizedVariableUncertainty, RandomQuery, SamplingQuery
 from driftlab.core import ClassPosterior, draws
-from driftlab.selflabel import Feedback, RandomizedAdaptiveConfidence
+from driftlab.selflabel import RandomizedAdaptiveConfidence
 
 DECISIONS = 700
 
@@ -91,6 +91,6 @@ def test_randomized_adaptive_confidence(noise):
         train = post.top_prob >= randomized
         bar = bar * (1.0 + 0.02) if train else bar * (1.0 - 0.02)
         bar = min(1.0, max(1.0 / len(post.probs), bar))
-        decision = strategy.decide(post, Feedback())
+        decision = strategy.decide(post, None)  # a blind policy reads no run
         assert decision.train == train
         assert hexes(decision.threshold, strategy.confidence) == hexes(randomized, bar)

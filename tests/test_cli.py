@@ -77,7 +77,8 @@ class TestRun:
     @pytest.mark.parametrize("learner", ["nb", "ht"])
     def test_huge_finite_cells_are_an_error_not_a_crash(self, learner, capsys, tmp_path):
         # a class whose values reach +-1e200 overflows its running M2,
-        # its scores turn NaN, and the run must end with exit 2 and a message
+        # its scores turn NaN, and the run must end with exit 2 and a
+        # message that names the overflowing attribute
         rows = ["a,b,class"]
         for i in range(60):
             big = (1e200, -1e200, None)[i % 3]
@@ -87,7 +88,9 @@ class TestRun:
         path.write_text("\n".join(rows) + "\n")
         code = run_cli("run", "--stream", str(path), "--learner", learner, "--al", "random", "--budget", "1.0")
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: probability entry")
+        err = capsys.readouterr().err
+        assert err.startswith("error: probability entry")
+        assert "attribute 'a'" in err
 
     def test_stream_flag_required(self, capsys):
         assert run_cli("run", "--budget", "0.2") == 2

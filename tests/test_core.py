@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from driftlab.core import (
-    MISSING,
     NOMINAL,
     NUMERIC,
     Attribute,
@@ -14,7 +13,6 @@ from driftlab.core import (
     Instance,
     InvalidPosterior,
     LoadedStream,
-    SchemaMismatch,
     StreamSchema,
     UnknownClass,
 )
@@ -72,35 +70,6 @@ def test_schema_counts():
     schema = two_class_schema()
     assert schema.class_count == 2
     assert schema.n_attributes == 2
-
-
-def test_validate_instance_accepts_good_rows():
-    schema = two_class_schema()
-    schema.validate_instance(Instance((1.5, 2), label=1))
-    schema.validate_instance(Instance((MISSING, MISSING), label=0))
-    schema.validate_instance(Instance((0.0, 0)))  # unlabeled is fine
-
-
-def test_validate_instance_arity():
-    schema = two_class_schema()
-    with pytest.raises(SchemaMismatch):
-        schema.validate_instance(Instance((1.0,), label=0))
-
-
-def test_validate_instance_value_kinds():
-    schema = two_class_schema()
-    with pytest.raises(SchemaMismatch):
-        schema.validate_instance(Instance(("oops", 0), label=0))
-    with pytest.raises(SchemaMismatch):
-        schema.validate_instance(Instance((1.0, 7), label=0))  # index past cardinality
-    with pytest.raises(SchemaMismatch):
-        schema.validate_instance(Instance((1.0, -1), label=0))
-
-
-def test_validate_instance_label_range():
-    schema = two_class_schema()
-    with pytest.raises(UnknownClass):
-        schema.validate_instance(Instance((1.0, 0), label=2))
 
 
 def test_instance_equality_and_hash():

@@ -30,7 +30,7 @@ class TestPrequentialWindow:
         assert win.accuracy() == 1.0
 
     def test_empty_window(self):
-        win = PrequentialWindow()
+        win = PrequentialWindow(1000)
         assert win.error_rate() == 0.0
         assert win.accuracy() == 1.0
         assert len(win) == 0
@@ -60,7 +60,7 @@ class TestPrequentialWindow:
         assert win.error_rate() == 0.5
 
     def test_rejects_other_losses(self):
-        win = PrequentialWindow()
+        win = PrequentialWindow(1000)
         for loss in (2, -1, 0.7, 1.9, math.nan):
             with pytest.raises(ValueError):
                 win.update(loss)

@@ -15,7 +15,6 @@ from driftlab.hybrid import (
     ACTIVE,
     LEARNERS,
     SELF_LABEL,
-    BudgetState,
     EmptyStream,
     HybridConfig,
     HybridRunner,
@@ -96,36 +95,62 @@ class AlwaysQuery:
 
 
 class RecordingSelfLabel:
-    """Never trains, but keeps every feedback snapshot it was shown."""
+    """Never trains, but keeps what it read from the run at every call."""
 
     def __init__(self):
         self.snapshots = []
+        self.runs = []
 
-    def decide(self, posterior, feedback):
+    def decide(self, posterior, run):
+        self.runs.append(run)
         self.snapshots.append(
-            (feedback.query_threshold, feedback.error_estimate, feedback.class_count)
+            (run.query_threshold, run.error_estimate, len(posterior.probs))
         )
         return SelfLabelDecision(False, 1.0)
 
 
+class CountingSignals:
+    """Stand-in for a detector or window that counts calls to its
+    signal readers and passes everything through."""
+
+    READERS = ("epsilon", "similarity", "error_rate")
+
+    def __init__(self, inner, calls):
+        self.inner = inner
+        self.calls = calls
+
+    def __getattr__(self, name):
+        attr = getattr(self.inner, name)
+        if name not in self.READERS:
+            return attr
+
+        def counted(*args):
+            self.calls[name] += 1
+            return attr(*args)
+
+        return counted
+
+
 class TestBudgetState:
+    """The runner's own budget counters and strict spend gate."""
+
     def test_fresh_spend_is_zero(self):
-        state = BudgetState(0.1)
-        assert state.spend == 0.0
+        runner = HybridRunner(SCHEMA, OracleLearner(), NeverQuery(), None, budget=0.1)
+        assert runner.spend == 0.0
+        assert (runner.seen, runner.queried, runner.self_labeled, runner.skipped) == (0, 0, 0, 0)
 
     def test_strict_gate(self):
-        state = BudgetState(0.5)
-        state.seen = 2
-        state.labeled = 1
-        assert not state.open()  # 0.5 < 0.5 is false
-        state.seen = 3
-        assert state.open()
+        # step 1: 0/1 < 0.5 opens; step 2: 1/2 < 0.5 is false; step 3: 1/3 opens
+        runner = HybridRunner(SCHEMA, OracleLearner(), AlwaysQuery(), None, budget=0.5)
+        actions = [runner.process_instance(i).action for i in toy_stream([0, 0, 0]).instances]
+        assert actions == ["queried", "skipped", "queried"]
+        assert (runner.seen, runner.queried, runner.skipped) == (3, 2, 1)
+        assert runner.spend == 2 / 3
 
     def test_budget_validation(self):
-        with pytest.raises(ConfigError):
-            BudgetState(-0.01)
-        with pytest.raises(ConfigError):
-            BudgetState(1.01)
+        for budget in (-0.01, 1.01):
+            with pytest.raises(ConfigError):
+                HybridRunner(SCHEMA, OracleLearner(), NeverQuery(), None, budget=budget)
 
 
 class TestHybridConfig:
@@ -246,10 +271,12 @@ class TestProcessOrdering:
             learner="nb", active="randvar", self_label="cddm", budget=0.2, seed=0
         )
         runner = build_runner(stream.schema, config)
+        before = 0
         for instance in stream.instances:
             record = runner.process_instance(instance)
-            assert runner.budget.labeled == record.queried
-        assert runner.budget.labeled == runner.queried
+            assert runner.queried - before == (record.action == "queried")
+            assert runner.queried == record.queried
+            before = runner.queried
 
     def test_feedback_snapshot_is_post_query_state(self):
         # the self-label gate must see the query threshold as updated by
@@ -264,14 +291,67 @@ class TestProcessOrdering:
                 assert probe.snapshots[-1][0] == record.query_threshold
 
     def test_feedback_carries_class_count(self):
+        # a policy is handed the runner itself; the class count rides on
+        # the posterior
         probe = RecordingSelfLabel()
         runner = HybridRunner(SCHEMA, OracleLearner(), NeverQuery(), probe, budget=0.0)
         runner.process_instance(toy_stream([0]).instances[0])
+        assert probe.runs == [runner]
         assert probe.snapshots[0][2] == SCHEMA.class_count
+
+    # the detector and window readers each policy may call
+    READS = {
+        "fixed": set(),
+        "uni": set(),
+        "cddm": {"epsilon"},
+        "ceddm": {"similarity"},
+        "winerr": {"error_rate"},
+    }
+
+    @pytest.mark.parametrize("self_label", READS)
+    def test_unrecorded_steps_read_only_the_policys_signal(self, self_label):
+        expected = self.READS[self_label]
+        stream = gen_stream(n=400)
+        config = HybridConfig(
+            learner="nb", active="random", self_label=self_label, budget=0.1, seed=1
+        )
+        runner = build_runner(stream.schema, config)
+        calls = dict.fromkeys(CountingSignals.READERS, 0)
+        runner.error_monitor = CountingSignals(runner.error_monitor, calls)
+        runner.distance_monitor = CountingSignals(runner.distance_monitor, calls)
+        runner.error_window = CountingSignals(runner.error_window, calls)
+        for instance in stream.instances:
+            runner.process_instance(instance, want_record=False)
+        assert {name for name, n in calls.items() if n} == expected
+        for name in expected:
+            # one read per self-label decision, i.e. per unqueried step
+            assert calls[name] == runner.seen - runner.queried > 0
+
+    @pytest.mark.parametrize("self_label", ["none", "invunc", "cddm", "ceddm", "winerr"])
+    def test_record_signals_are_the_runner_properties(self, self_label):
+        stream = gen_stream(n=300)
+        config = HybridConfig(
+            learner="nb", active="randvar", self_label=self_label, budget=0.2, seed=4
+        )
+        runner = build_runner(stream.schema, config)
+        for instance in stream.instances:
+            record = runner.process_instance(instance)
+            for name in (
+                "query_threshold",
+                "error_estimate",
+                "similarity",
+                "windowed_error",
+                "spend",
+                "queried",
+                "self_labeled",
+                "skipped",
+            ):
+                assert getattr(record, name) == getattr(runner, name), name
+        assert runner.error_estimate > 0.0
 
     def test_self_label_trains_on_prediction(self):
         class AcceptAll:
-            def decide(self, posterior, feedback):
+            def decide(self, posterior, run):
                 return SelfLabelDecision(True, 0.0)
 
         learner = OracleLearner()

@@ -901,7 +901,11 @@ def test_predict_matches_the_checking_constructor(training, probes):
         nb.train(features, label)
     for features in probes:
         expected = posterior_or_error(lambda: ClassPosterior(nb.predict_probs(features)))
-        assert posterior_or_error(lambda: nb.predict(features)) == expected
+        got = posterior_or_error(lambda: nb.predict(features))
+        if got != expected:
+            # only the error text may differ: predict appends the cause
+            assert got[0] is expected[0] is InvalidPosterior
+            assert got[1].startswith(expected[1] + " (numeric attribute ")
 
 
 def test_predict_raises_the_checking_error_on_nan_scores():
@@ -913,7 +917,20 @@ def test_predict_raises_the_checking_error_on_nan_scores():
         ClassPosterior(nb.predict_probs(probe))
     with pytest.raises(InvalidPosterior) as fused:
         nb.predict(probe)
-    assert str(fused.value) == str(checked.value) == "probability entry 0 is negative or NaN: nan"
+    assert str(checked.value) == "probability entry 0 is negative or NaN: nan"
+    assert str(fused.value) == (
+        "probability entry 0 is negative or NaN: nan (numeric attribute 'x0' overflowed)"
+    )
+
+
+def test_predict_names_a_probe_cell_that_overflows_the_gaussian_term():
+    # finite moments, but (x - mean)^2 / (2 var) of this cell is inf for
+    # every class, so all scores are -inf
+    nb = NaiveBayes(MIXED)
+    nb.train((0.0, 0, 0.0, 0), 0)
+    nb.train((0.0, 0, 1.0, 0), 1)
+    with pytest.raises(InvalidPosterior, match=r"\(numeric attribute 'x0' overflowed\)$"):
+        nb.predict((1e154, 0, 0.5, 0))
 
 
 @settings(max_examples=300, deadline=None)

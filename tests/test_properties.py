@@ -129,7 +129,7 @@ def test_budget_prefix_invariant(stream, config):
         for instance in instances:
             record = runner.process_instance(instance)
             assert Fraction(record.queried) < budget * record.index + 1
-            assert record.queried == runner.budget.labeled
+            assert record.queried == runner.queried
     except OVERFLOW_ERRORS:
         assert may_overflow(instances)
 
@@ -137,7 +137,7 @@ def test_budget_prefix_invariant(stream, config):
 class AcceptAll:
     """Self-labels every instance it is offered."""
 
-    def decide(self, posterior, feedback):
+    def decide(self, posterior, run):
         return SelfLabelDecision(True, 0.0)
 
 

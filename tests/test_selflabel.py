@@ -1,13 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from driftlab.core import ClassPosterior, ConfigError
-from driftlab.hybrid import SELF_LABEL
+from driftlab.core import NUMERIC, Attribute, ClassPosterior, ConfigError, StreamSchema
+from driftlab.hybrid import SELF_LABEL, HybridConfig, build_runner
 from driftlab.selflabel import (
-    Feedback,
     FixedConfidence,
     InformedConfidence,
     RandomizedAdaptiveConfidence,
@@ -34,15 +34,20 @@ def posterior(top, n_classes=2):
     return ClassPosterior([top] + [rest] * (n_classes - 1))
 
 
-class ExplodingFeedback:
-    """Feedback stand-in that fails on any attribute read.
+class ExplodingRun:
+    """Run-loop stand-in that fails on any attribute read.
 
-    Blind strategies must never look at run-loop feedback, so handing
-    them this object proves it.
+    Blind strategies must never look at the run loop's signals, so
+    handing them this object proves it.
     """
 
     def __getattr__(self, name):
-        raise AssertionError(f"blind strategy read feedback field {name!r}")
+        raise AssertionError(f"blind strategy read run-loop signal {name!r}")
+
+
+def run(**signals):
+    """A run loop that publishes just the given signals."""
+    return SimpleNamespace(**signals)
 
 
 class TestThresholdFunctions:
@@ -118,7 +123,7 @@ class TestThresholdFunctions:
 class TestFixedConfidence:
     def test_inclusive_boundary(self):
         strat = FixedConfidence(0.95)
-        fb = Feedback()
+        fb = run()
         assert strat.decide(posterior(0.95), fb).train
         assert not strat.decide(posterior(0.9499), fb).train
 
@@ -126,12 +131,12 @@ class TestFixedConfidence:
         assert FixedConfidence().confidence == 0.95
 
     def test_reports_bar(self):
-        d = FixedConfidence(0.9).decide(posterior(0.99), Feedback())
+        d = FixedConfidence(0.9).decide(posterior(0.99), run())
         assert d.threshold == 0.9
 
     def test_never_reads_feedback(self):
         strat = FixedConfidence()
-        d = strat.decide(posterior(0.99), ExplodingFeedback())
+        d = strat.decide(posterior(0.99), ExplodingRun())
         assert d.train
 
     def test_validation(self):
@@ -146,17 +151,17 @@ class TestAdaptiveConfidence:
         strat = adaptive()
         assert strat.confidence == 1.0
         # only a fully certain prediction clears a bar of 1
-        assert not strat.decide(posterior(0.9999), Feedback()).train
+        assert not strat.decide(posterior(0.9999), run()).train
 
     def test_accept_raises_bar_reject_lowers(self):
         strat = adaptive(step=0.01)
         strat.confidence = 0.9
-        d = strat.decide(posterior(0.95), Feedback())
+        d = strat.decide(posterior(0.95), run())
         assert d.train
         assert d.threshold == 0.9
         assert strat.confidence == pytest.approx(0.909)
         strat.confidence = 0.9
-        d = strat.decide(posterior(0.5), Feedback())
+        d = strat.decide(posterior(0.5), run())
         assert not d.train
         assert strat.confidence == pytest.approx(0.891)
 
@@ -166,7 +171,7 @@ class TestAdaptiveConfidence:
         bar = 1.0
         for _ in range(2000):
             top = rng.uniform(0.5, 1.0)
-            d = strat.decide(posterior(top), Feedback())
+            d = strat.decide(posterior(top), run())
             assert d.train == (top >= bar)
             assert d.threshold == bar
             bar *= 1.01 if d.train else 0.99
@@ -177,14 +182,14 @@ class TestAdaptiveConfidence:
         strat = adaptive(step=0.5)
         weak = ClassPosterior([0.25, 0.25, 0.25, 0.25])
         for _ in range(20):
-            strat.decide(weak, Feedback())
+            strat.decide(weak, run())
         assert strat.confidence == 0.25
         # at the floor the uniform top hits the bar exactly
-        assert strat.decide(weak, Feedback()).train
+        assert strat.decide(weak, run()).train
 
     def test_never_reads_feedback(self):
         strat = adaptive()
-        strat.decide(posterior(0.7), ExplodingFeedback())
+        strat.decide(posterior(0.7), ExplodingRun())
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -207,14 +212,14 @@ class TestRandomizedAdaptiveConfidence:
     def test_jittered_bar_drives_decision_and_update(self):
         # eta = 6 puts the bar far above any posterior: reject and lower
         strat = RandomizedAdaptiveConfidence(step=0.01, rng=self.FakeRng([5.0]))
-        d = strat.decide(posterior(1.0), Feedback())
+        d = strat.decide(posterior(1.0), run())
         assert not d.train
         assert d.threshold == pytest.approx(6.0)
         assert strat.confidence == pytest.approx(0.99)
 
     def test_negative_eta_accepts_anything(self):
         strat = RandomizedAdaptiveConfidence(step=0.01, rng=self.FakeRng([-2.0]))
-        d = strat.decide(posterior(0.51), Feedback())
+        d = strat.decide(posterior(0.51), run())
         assert d.train
         assert d.threshold == pytest.approx(-1.0)
         assert strat.confidence == 1.0  # 1.01 clamps back
@@ -226,7 +231,7 @@ class TestRandomizedAdaptiveConfidence:
             step=0.01, noise=0.0, rng=np.random.default_rng(0)
         )
         rng = np.random.default_rng(17)
-        fb = Feedback()
+        fb = run()
         bar = 1.0
         for _ in range(2000):
             top = rng.uniform(1 / 3, 1.0)
@@ -242,7 +247,7 @@ class TestRandomizedAdaptiveConfidence:
         # is the standard normal CDF at -0.2 (frozen reference value)
         strat = RandomizedAdaptiveConfidence(rng=np.random.default_rng(23))
         p = posterior(0.8)
-        fb = Feedback()
+        fb = run()
         n = 20_000
         hits = 0
         for _ in range(n):
@@ -255,7 +260,7 @@ class TestRandomizedAdaptiveConfidence:
         seed = 31
         strat = RandomizedAdaptiveConfidence(rng=np.random.default_rng(seed))
         replay = np.random.default_rng(seed).standard_normal(50)
-        fb = Feedback()
+        fb = run()
         for offset in replay:
             bar = strat.confidence
             d = strat.decide(posterior(0.8), fb)
@@ -263,7 +268,7 @@ class TestRandomizedAdaptiveConfidence:
 
     def test_never_reads_feedback(self):
         strat = RandomizedAdaptiveConfidence(rng=np.random.default_rng(1))
-        strat.decide(posterior(0.7), ExplodingFeedback())
+        strat.decide(posterior(0.7), ExplodingRun())
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -275,7 +280,7 @@ class TestRandomizedAdaptiveConfidence:
 class TestInformedStrategies:
     def test_inverted_uncertainty_boundary(self):
         strat = informed("invunc")
-        fb = Feedback(query_threshold=0.65, class_count=2)
+        fb = run(query_threshold=0.65)
         assert strat.decide(posterior(0.85), fb).train
         assert not strat.decide(posterior(0.8499), fb).train
         assert strat.decide(posterior(0.9), fb).threshold == pytest.approx(0.85)
@@ -283,16 +288,16 @@ class TestInformedStrategies:
     def test_inverted_uncertainty_needs_published_threshold(self):
         strat = informed("invunc")
         with pytest.raises(ConfigError):
-            strat.decide(posterior(0.9), Feedback(query_threshold=None))
+            strat.decide(posterior(0.9), run(query_threshold=None))
 
     def test_unpublished_signal_is_config_error(self):
         strat = InformedConfidence("similarity", similarity_scaled_threshold)
         with pytest.raises(ConfigError, match="similarity"):
-            strat.decide(posterior(0.9), Feedback(similarity=None))
+            strat.decide(posterior(0.9), run(similarity=None))
 
     def test_error_scaled_uses_detector_estimate(self):
         strat = informed("cddm")
-        fb = Feedback(error_estimate=0.24, class_count=2)
+        fb = run(error_estimate=0.24)
         d = strat.decide(posterior(0.91), fb)
         assert d.threshold == pytest.approx(0.90146798783194670176, rel=1e-12)
         assert d.train
@@ -300,7 +305,7 @@ class TestInformedStrategies:
 
     def test_similarity_scaled_uses_detector_similarity(self):
         strat = informed("ceddm")
-        fb = Feedback(similarity=0.95, class_count=2)
+        fb = run(similarity=0.95)
         d = strat.decide(posterior(0.76), fb)
         assert d.threshold == pytest.approx(0.75)
         assert d.train
@@ -313,39 +318,41 @@ class TestInformedStrategies:
 
     def test_window_scaled_uses_window_error(self):
         strat = informed("winerr")
-        fb = Feedback(windowed_error=0.0, class_count=2)
+        fb = run(windowed_error=0.0)
         d = strat.decide(posterior(0.77), fb)
         assert d.threshold == pytest.approx(0.76159415595576488812, rel=1e-12)
         assert d.train
+
+    def test_class_count_comes_from_the_posterior(self):
+        for classes in (2, 3, 5):
+            d = informed("cddm").decide(
+                posterior(0.9, n_classes=classes), run(error_estimate=0.1)
+            )
+            assert d.threshold == error_scaled_threshold(0.1, classes)
 
     def test_window_and_error_share_one_mapping(self):
         # same signal value -> identical bar from both strategies
         for value in (0.0, 0.1, 0.33, 0.8):
             err = informed("cddm").decide(
-                posterior(0.9), Feedback(error_estimate=value, class_count=3)
+                posterior(0.9, n_classes=3), run(error_estimate=value)
             )
             win = informed("winerr").decide(
-                posterior(0.9), Feedback(windowed_error=value, class_count=3)
+                posterior(0.9, n_classes=3), run(windowed_error=value)
             )
             assert err.threshold == win.threshold
 
     @pytest.mark.parametrize(
         "strategy,fields",
         [
-            (informed("invunc"), {"query_threshold": 0.8, "class_count": 2}),
-            (informed("cddm"), {"error_estimate": 0.1, "class_count": 2}),
-            (informed("ceddm"), {"similarity": 0.97, "class_count": 2}),
-            (informed("winerr"), {"windowed_error": 0.2, "class_count": 2}),
+            (informed("invunc"), {"query_threshold": 0.8}),
+            (informed("cddm"), {"error_estimate": 0.1}),
+            (informed("ceddm"), {"similarity": 0.97}),
+            (informed("winerr"), {"windowed_error": 0.2}),
         ],
     )
     def test_reads_only_its_own_signal(self, strategy, fields):
-        class Narrow:
-            pass
-
-        fb = Narrow()
-        for name, value in fields.items():
-            setattr(fb, name, value)
-        strategy.decide(posterior(0.9), fb)  # any other field would explode
+        # any other field would explode
+        strategy.decide(posterior(0.9), run(**fields))
 
     @pytest.mark.parametrize(
         "strategy",
@@ -357,12 +364,11 @@ class TestInformedStrategies:
         ],
     )
     def test_informed_strategies_are_stateless(self, strategy):
-        fb = Feedback(
+        fb = run(
             query_threshold=0.7,
             error_estimate=0.05,
             similarity=0.96,
             windowed_error=0.1,
-            class_count=2,
         )
         before = dict(vars(strategy))
         first = strategy.decide(posterior(0.9), fb)
@@ -385,12 +391,15 @@ class TestInformedStrategies:
 
 
 def test_feedback_defaults():
-    fb = Feedback()
-    assert fb.query_threshold is None
-    assert fb.error_estimate == 0.0
-    assert fb.similarity == 1.0
-    assert fb.windowed_error == 0.0
-    assert fb.class_count == 2
+    # the signals a fresh run loop publishes, before any label is bought
+    schema = StreamSchema((Attribute("x", NUMERIC),), ("a", "b"))
+    fresh = build_runner(schema, HybridConfig(learner="nb", active="random"))
+    assert fresh.query_threshold is None
+    assert fresh.error_estimate == 0.0
+    assert fresh.similarity == 1.0
+    assert fresh.windowed_error == 0.0
+    adaptive = build_runner(schema, HybridConfig(learner="nb", active="randvar"))
+    assert adaptive.query_threshold == 1.0
 
 
 def test_error_scaled_matches_math_tanh():
