@@ -12,27 +12,12 @@ import argparse
 import json
 import sys
 
-from .core import DriftLabError
-from .core import ConfigError
+from .core import ConfigError, DriftLabError
 from .experiments import GridSpec, resolve_jobs, run_grid
 from .evaluation import to_records, to_text
 from .generators import DEFAULT_FAMILY, KINDS, DriftProfile, gen_drift_stream
 from .hybrid import ACTIVE, LEARNERS, SELF_LABEL, HybridConfig, StepRecord, run_stream
 from .streams import parse_stream_spec, write_csv
-
-_RUN_KEYS = (
-    "stream",
-    "format",
-    "learner",
-    "al",
-    "sl",
-    "budget",
-    "seed",
-    "window",
-    "stride",
-    "series_out",
-    "summary_out",
-)
 
 
 def _format_value(value) -> str:
@@ -56,71 +41,35 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _load_run_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--config {path}: not valid JSON ({exc})")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"--config {path}: expected an object of settings")
-    for key in raw:
-        if key not in _RUN_KEYS:
-            raise ConfigError(f"--config {path}: unknown key {key!r}")
-    return raw
-
-
 def cmd_run(args) -> int:
-    settings = {key: None for key in _RUN_KEYS}
-    if args.config:
-        settings.update(_load_run_config(args.config))
-    for key in _RUN_KEYS:
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            settings[key] = flag_value
-    if settings["stream"] is None:
+    if args.stream is None:
         raise ConfigError("--stream is required (path or gen: spec)")
-
-    defaults = {
-        "learner": "nb",
-        "al": "randvar",
-        "sl": HybridConfig.self_label,
-        "budget": HybridConfig.budget,
-        "seed": HybridConfig.seed,
-        "window": HybridConfig.window,
-        "stride": 100,
-    }
-    for key, value in defaults.items():
-        if settings[key] is None:
-            settings[key] = value
-
     try:
         config = HybridConfig(
-            learner=settings["learner"],
-            active=settings["al"],
-            self_label=settings["sl"],
-            budget=float(settings["budget"]),
-            seed=int(settings["seed"]),
-            window=int(settings["window"]),
+            learner=args.learner,
+            active=args.al,
+            self_label=args.sl,
+            budget=args.budget,
+            seed=args.seed,
+            window=args.window,
         )
     except ConfigError as exc:
         raise ConfigError(f"--learner/--al/--sl/--budget: {exc}")
 
-    spec = parse_stream_spec(settings["stream"], fmt=settings["format"])
+    spec = parse_stream_spec(args.stream, fmt=args.format)
     stream = spec.load(seed_fallback=config.seed)
-    stride = int(settings["stride"])
-    want_series = settings["series_out"] is not None
+    want_series = args.series_out is not None
     records, summary = run_stream(
-        stream, config, record_stride=stride if want_series else 0
+        stream, config, record_stride=args.stride if want_series else 0
     )
 
-    resolved = dict(config.to_dict(), stream=spec.describe(), stride=stride)
+    resolved = dict(config.to_dict(), stream=spec.describe(), stride=args.stride)
     if want_series:
-        _write_series(settings["series_out"], records)
-        _write_json(settings["series_out"] + ".meta.json", {"config": resolved})
-    if settings["summary_out"] is not None:
+        _write_series(args.series_out, records)
+        _write_json(args.series_out + ".meta.json", {"config": resolved})
+    if args.summary_out is not None:
         _write_json(
-            settings["summary_out"],
+            args.summary_out,
             {"config": resolved, "summary": summary.to_dict()},
         )
 
@@ -214,16 +163,15 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one stream with one configuration")
     run.add_argument("--stream", help="data file path or gen: spec")
     run.add_argument("--format", choices=("csv", "arff"))
-    run.add_argument("--learner", choices=LEARNERS)
-    run.add_argument("--al", choices=ACTIVE, help="query strategy")
-    run.add_argument("--sl", choices=SELF_LABEL, help="self-label strategy")
-    run.add_argument("--budget", type=float)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--window", type=int)
-    run.add_argument("--stride", type=int, help="series row spacing (default 100)")
+    run.add_argument("--learner", choices=LEARNERS, default="nb")
+    run.add_argument("--al", choices=ACTIVE, default="randvar", help="query strategy")
+    run.add_argument("--sl", choices=SELF_LABEL, default=HybridConfig.self_label, help="self-label strategy")
+    run.add_argument("--budget", type=float, default=HybridConfig.budget)
+    run.add_argument("--seed", type=int, default=HybridConfig.seed)
+    run.add_argument("--window", type=int, default=HybridConfig.window)
+    run.add_argument("--stride", type=int, default=100, help="series row spacing (default %(default)s)")
     run.add_argument("--series-out", dest="series_out")
     run.add_argument("--summary-out", dest="summary_out")
-    run.add_argument("--config", help="JSON settings file; flags override it")
     run.set_defaults(handler=cmd_run)
 
     compare = sub.add_parser("compare", help="strategy-by-budget sweep")

@@ -305,15 +305,24 @@ def make_family(family: str, **params):
         raise ConfigError(f"bad parameters for family {family!r}: {exc}") from None
 
 
+def checked_family(profile: DriftProfile, family: str, n: int, **family_params):
+    """The concept family of an ``n``-instance stream under ``profile``,
+    built once the length, the family with its parameters and the
+    profile's fit to the length are checked."""
+    if n < 1:
+        raise ConfigError("stream length must be at least 1")
+    fam = make_family(family, **family_params)
+    profile.validate_length(n)
+    return fam
+
+
 def gen_drift_stream(profile: DriftProfile, family, n: int, seed, name=None, **family_params) -> LoadedStream:
     """Generate ``n`` instances from a concept family under a drift profile.
 
     Deterministic for fixed (profile, family, params, n, seed): calling
     twice yields identical instances.
     """
-    if n < 1:
-        raise ConfigError("stream length must be at least 1")
-    fam = make_family(family, **family_params)
+    fam = checked_family(profile, family, n, **family_params)
     rng = np.random.default_rng(seed)
     phases = profile.concept_phases(n, rng)
     x, y = fam.sample(rng, phases)

@@ -51,9 +51,9 @@ class EmptyStream(DriftLabError):
 # choices and grid defaults all read these; adding a component means
 # adding one entry here.
 LEARNERS = {
-    "nb": lambda schema, seed: NaiveBayes(schema),
-    "ht": lambda schema, seed: HoeffdingTree(schema),
-    "awe": lambda schema, seed: AccuracyWeightedEnsemble(schema),
+    "nb": lambda schema: NaiveBayes(schema),
+    "ht": lambda schema: HoeffdingTree(schema),
+    "awe": lambda schema: AccuracyWeightedEnsemble(schema),
 }
 ACTIVE = {
     "random": lambda budget, rng: RandomQuery(budget, rng=rng),
@@ -289,7 +289,7 @@ class HybridRunner:
 
 
 def build_runner(schema: StreamSchema, config: HybridConfig) -> HybridRunner:
-    learner = LEARNERS[config.learner](schema, config.seed)
+    learner = LEARNERS[config.learner](schema)
     active = ACTIVE[config.active](
         config.budget, np.random.default_rng([config.seed, 0])
     )

@@ -251,17 +251,23 @@ class NaiveBayes:
         try:
             return ClassPosterior.trusted(self.predict_probs(features))
         except InvalidPosterior as exc:
-            # name a numeric attribute whose stored mean or M2, or whose
-            # scaled squared deviation for this cell, is no longer finite
-            for y in range(self._class_count):
-                for j in self._numeric:
-                    mean, v = self._mean[y][j], features[j]
-                    d = 0.0 if v is MISSING else v - mean
-                    term = d * d * self._inv2var[y][j]
-                    if self._n[y][j] and not all(map(math.isfinite, (mean, self._m2[y][j], term))):
-                        name = self.schema.attributes[j].name
-                        raise InvalidPosterior(f"{exc} (numeric attribute {name!r} overflowed)") from exc
+            _name_overflow(exc, (self,), features)
             raise
+
+
+def _name_overflow(exc, models, features):
+    """Re-raise ``exc`` naming the first numeric attribute of ``models``
+    whose stored mean or M2, or whose scaled squared deviation for this
+    cell, is no longer finite; return if there is none."""
+    for model in models:
+        for y in range(model._class_count):
+            for j in model._numeric:
+                mean, v = model._mean[y][j], features[j]
+                d = 0.0 if v is MISSING else v - mean
+                term = d * d * model._inv2var[y][j]
+                if model._n[y][j] and not all(map(math.isfinite, (mean, model._m2[y][j], term))):
+                    name = model.schema.attributes[j].name
+                    raise InvalidPosterior(f"{exc} (numeric attribute {name!r} overflowed)") from exc
 
 
 class _Histogram:
@@ -835,4 +841,8 @@ class AccuracyWeightedEnsemble:
     def predict(self, features) -> ClassPosterior:
         if not self._members:
             return ClassPosterior.uniform(self.schema.class_count)
-        return ClassPosterior.trusted(self.predict_probs(features))
+        try:
+            return ClassPosterior.trusted(self.predict_probs(features))
+        except InvalidPosterior as exc:
+            _name_overflow(exc, [m for m, _ in self._members], features)
+            raise

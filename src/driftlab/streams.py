@@ -1,15 +1,18 @@
 """Stream sources: CSV/ARFF readers, a CSV writer, and stream specs.
 
 Both readers materialize the file into a :class:`~driftlab.core.LoadedStream`.
-The CSV reader works with or without a known schema (without one, every
-attribute is numeric and class names are collected in order of first
-appearance). The ARFF reader handles the dense subset: ``@relation``,
-``@attribute <name> numeric`` or ``@attribute <name> {a,b,...}``,
-``@data``, ``?`` for missing values, ``%`` comments.
+A CSV stream is numeric: every attribute is numeric and class names are
+collected in order of first appearance. Typed streams, with nominal
+attributes and declared classes, come as ARFF; the ARFF reader handles
+the dense subset: ``@relation``, ``@attribute <name> numeric`` or
+``@attribute <name> {a,b,...}``, ``@data``, ``?`` for missing values,
+``%`` comments.
 
 :class:`StreamSpec` is the declarative, picklable description of a
 stream source (a file or generator settings) used by the CLI and the
 experiment grid, which may replay one spec across many worker runs.
+:func:`parse_stream_spec` checks a generator spec with the code that
+generates it, so a spec that could never load fails when it is parsed.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .core import (
     StreamSchema,
     UnknownClass,
 )
-from .generators import DEFAULT_FAMILY, FAMILIES, SUDDEN, DriftProfile, gen_drift_stream
+from .generators import DEFAULT_FAMILY, SUDDEN, DriftProfile, checked_family, gen_drift_stream
 
 
 class MalformedHeader(DriftLabError):
@@ -76,108 +79,56 @@ def _is_header_row(row) -> bool:
     return True
 
 
-def read_csv(path, schema: StreamSchema | None = None, has_header="auto", name=None) -> LoadedStream:
-    """Read a comma-separated stream; the last column is the class label.
+def read_csv(path, has_header="auto", name=None) -> LoadedStream:
+    """Read a comma-separated numeric stream; the last column is the class label.
 
-    With a schema, rows are checked for arity and value kinds. Without
-    one, all attributes are inferred numeric (unparseable cells become
-    missing) and class names are registered in order of first appearance.
-    ``has_header`` may be True, False, or "auto" (first row is treated
-    as a header when none of its cells parses as a number).
+    Every attribute is numeric: blank, ``?``, unparseable and non-finite
+    cells become missing. Class names are registered in order of first
+    appearance; a blank or ``?`` class cell is an error. Nominal attributes come from ARFF (:func:`read_arff`).
+    ``has_header`` may be True, False, or "auto" (the first row is a
+    header when none of its cells parses as a number). Errors name the
+    file line.
     """
     instances = []
+    class_ids: dict[str, int] = {}
+    header_names = None
+    n_fields = None
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        first = None
-        header_names = None
         for row in reader:
-            if row:
-                first = row
-                first_line = reader.line_num
-                break
-        if first is not None:
-            treat_as_header = has_header is True or (has_header == "auto" and _is_header_row(first))
-            if treat_as_header:
-                header_names = [c.strip() for c in first]
-                first = None
-
-        if schema is not None:
-            n_attrs = schema.n_attributes
-            nominal_index = {
-                i: {v: j for j, v in enumerate(a.values)}
-                for i, a in enumerate(schema.attributes)
-                if a.kind == NOMINAL
-            }
-
-            def parse_row(row, line):
-                if len(row) != n_attrs + 1:
-                    raise SchemaMismatch(
-                        f"{path}:{line}: expected {n_attrs + 1} fields, got {len(row)}"
-                    )
-                feats = [None] * n_attrs
-                for i in range(n_attrs):
-                    if i in nominal_index:
-                        cell = row[i].strip()
-                        if cell in ("", "?"):
-                            continue
-                        try:
-                            feats[i] = nominal_index[i][cell]
-                        except KeyError:
-                            raise UnknownNominalValue(
-                                f"{path}:{line}: {cell!r} is not a declared value"
-                                f" of attribute {schema.attributes[i].name!r}"
-                            ) from None
-                    else:
-                        feats[i] = _parse_numeric(row[i])
-                try:
-                    label = schema.class_index(row[-1].strip())
-                except UnknownClass as exc:
-                    raise UnknownClass(f"{path}:{line}: {exc}") from None
-                return Instance(tuple(feats), label)
-
-        else:
-            class_ids: dict[str, int] = {}
-            n_attrs = None
-
-            def parse_row(row, line):
-                nonlocal n_attrs
-                if n_attrs is None:
-                    n_attrs = len(row) - 1
-                    if n_attrs < 1:
-                        raise SchemaMismatch(f"{path}:{line}: rows need at least 2 fields")
-                if len(row) != n_attrs + 1:
-                    raise SchemaMismatch(
-                        f"{path}:{line}: expected {n_attrs + 1} fields, got {len(row)}"
-                    )
-                feats = tuple(_parse_numeric(c) for c in row[:-1])
-                cls = row[-1].strip()
-                label = class_ids.setdefault(cls, len(class_ids))
-                return Instance(feats, label)
-
-        if first is not None:
-            instances.append(parse_row(first, first_line))
-        for row in reader:
-            if row:
-                instances.append(parse_row(row, reader.line_num))
-
-        out_schema = schema
-        if schema is None:
-            if n_attrs is None:
-                raise SchemaMismatch(f"{path}: no data rows to infer a schema from")
-            if header_names is not None and len(header_names) == n_attrs + 1:
-                attr_names = header_names[:-1]
-            else:
-                attr_names = [f"x{i}" for i in range(n_attrs)]
-            try:
-                out_schema = StreamSchema(
-                    tuple(Attribute(a, NUMERIC) for a in attr_names),
-                    tuple(class_ids),
+            if not row:
+                continue
+            if n_fields is None:
+                if header_names is None and (
+                    has_header is True or (has_header == "auto" and _is_header_row(row))
+                ):
+                    header_names = [c.strip() for c in row]
+                    continue
+                n_fields = len(row)
+                if n_fields < 2:
+                    raise SchemaMismatch(f"{path}:{reader.line_num}: rows need at least 2 fields")
+            elif len(row) != n_fields:
+                raise SchemaMismatch(
+                    f"{path}:{reader.line_num}: expected {n_fields} fields, got {len(row)}"
                 )
-            except ValueError as exc:
-                raise SchemaMismatch(f"{path}: {exc}") from None
+            cls = row[-1].strip()
+            if cls in ("", "?"):
+                raise UnknownClass(f"{path}:{reader.line_num}: unknown class value {cls!r}")
+            label = class_ids.setdefault(cls, len(class_ids))
+            instances.append(Instance(tuple(_parse_numeric(c) for c in row[:-1]), label))
 
+    if n_fields is None:
+        raise SchemaMismatch(f"{path}: no data rows to infer a schema from")
+    if header_names is not None and len(header_names) == n_fields:
+        attr_names = header_names[:-1]
+    else:
+        attr_names = [f"x{i}" for i in range(n_fields - 1)]
+    try:
+        schema = StreamSchema(tuple(Attribute(a, NUMERIC) for a in attr_names), tuple(class_ids))
+    except ValueError as exc:
+        raise SchemaMismatch(f"{path}: {exc}") from None
     stream_name = name or os.path.splitext(os.path.basename(path))[0]
-    return LoadedStream(stream_name, out_schema, instances, {"source": "csv", "path": str(path)})
+    return LoadedStream(stream_name, schema, instances, {"source": "csv", "path": str(path)})
 
 
 def _parse_attribute_line(rest, path, lineno):
@@ -342,14 +293,11 @@ class StreamSpec:
     def load(self, seed_fallback=None) -> LoadedStream:
         if self.generator is not None:
             g = self.generator
-            profile = DriftProfile(
-                g["kind"], tuple(g["change_points"]), g["width"], g["cycle_length"]
-            )
             seed = g["seed"]
             if seed is None:
                 seed = seed_fallback if seed_fallback is not None else 0
             return gen_drift_stream(
-                profile, g["family"], g["n"], seed, name=self.name, **g["params"]
+                _profile(g), g["family"], g["n"], seed, name=self.name, **g["params"]
             )
         if self.path is None:
             raise ConfigError(f"stream spec {self.name!r} has neither a path nor a generator")
@@ -365,6 +313,10 @@ class StreamSpec:
         return {"name": self.name, "path": self.path, "format": self.fmt}
 
 
+def _profile(g) -> DriftProfile:
+    return DriftProfile(g["kind"], tuple(g["change_points"]), g["width"], g["cycle_length"])
+
+
 _GEN_INT_KEYS = {"n", "width", "seed", "classes", "dims", "cycle"}
 _GEN_FLOAT_KEYS = {"radius", "spread", "rotation", "noise"}
 
@@ -377,8 +329,10 @@ def parse_stream_spec(text, fmt=None) -> StreamSpec:
     ``gen:family=gaussian-clusters,kind=sudden,n=20000,changes=10000``.
     Recognized keys: name, family, kind, n, changes (``|``-separated
     indices), width, seed, cycle, and the family parameters classes,
-    dims, radius, spread, rotation, noise. Anything else is a path to a
-    stream file; its format comes from ``fmt`` or the file extension.
+    dims, radius, spread, rotation, noise. The drift profile, the stream
+    length and the family with its parameters are checked here, by the
+    generator's own code. Anything else is a path to a stream file; its
+    format comes from ``fmt`` or the file extension.
     """
     if text.startswith("gen:"):
         body = text[len("gen:") :]
@@ -413,9 +367,6 @@ def parse_stream_spec(text, fmt=None) -> StreamSpec:
             except ValueError:
                 raise ConfigError(f"bad value for generator key {key!r}: {value!r}") from None
         family = settings.get("family", DEFAULT_FAMILY)
-        if family not in FAMILIES:
-            known = ", ".join(sorted(FAMILIES))
-            raise ConfigError(f"unknown concept family {family!r} (known: {known})")
         for key in ("classes", "dims"):
             if key in settings:
                 params[key] = settings.pop(key)
@@ -429,6 +380,8 @@ def parse_stream_spec(text, fmt=None) -> StreamSpec:
             "seed": settings.get("seed"),
             "params": params,
         }
+        # the generator's own checks, so a spec that cannot load fails here
+        checked_family(_profile(generator), family, generator["n"], **params)
         if name is None:
             name = f"{family}-{generator['kind']}-{generator['n']}"
         return StreamSpec(name=name, generator=generator)

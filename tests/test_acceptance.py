@@ -444,7 +444,7 @@ def test_08_learners_master_separable_stream():
         assert records[-1].windowed_accuracy >= 0.95, learner
 
     for name in ("nb", "ht", "awe"):
-        model = LEARNERS[name](stream.schema, 0)
+        model = LEARNERS[name](stream.schema)
         assert model.predict((0.0, 0.0)).probs == [0.5, 0.5], name
 
 

@@ -74,13 +74,14 @@ class TestRun:
         assert err.startswith("i/o error")
         assert str(missing) in err
 
-    @pytest.mark.parametrize("learner", ["nb", "ht"])
+    @pytest.mark.parametrize("learner", ["nb", "ht", "awe"])
     def test_huge_finite_cells_are_an_error_not_a_crash(self, learner, capsys, tmp_path):
         # a class whose values reach +-1e200 overflows its running M2,
         # its scores turn NaN, and the run must end with exit 2 and a
-        # message that names the overflowing attribute
+        # message that names the overflowing attribute; awe predicts
+        # from members only once its first 500-instance chunk closes
         rows = ["a,b,class"]
-        for i in range(60):
+        for i in range(1200 if learner == "awe" else 60):
             big = (1e200, -1e200, None)[i % 3]
             a = repr(big) if big is not None else repr(0.1 * i)
             rows.append(f"{a},{0.05 * i!r},{'xy'[i % 2]}")
@@ -95,39 +96,6 @@ class TestRun:
     def test_stream_flag_required(self, capsys):
         assert run_cli("run", "--budget", "0.2") == 2
         assert "--stream" in capsys.readouterr().err
-
-    def test_config_file_supplies_settings(self, tmp_path):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"stream": TINY, "budget": 0.5, "seed": 3}))
-        summary_path = tmp_path / "s.json"
-        code = run_cli(
-            "run", "--config", str(config), "--summary-out", str(summary_path)
-        )
-        assert code == 0
-        payload = json.loads(summary_path.read_text())
-        assert payload["config"]["budget"] == 0.5
-        assert payload["config"]["seed"] == 3
-
-    def test_flags_override_config_file(self, tmp_path):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"stream": TINY, "budget": 0.5}))
-        summary_path = tmp_path / "s.json"
-        run_cli(
-            "run",
-            "--config", str(config),
-            "--budget", "0.05",
-            "--summary-out", str(summary_path),
-        )
-        payload = json.loads(summary_path.read_text())
-        assert payload["config"]["budget"] == 0.05
-
-    def test_config_unknown_key_rejected(self, capsys, tmp_path):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"stream": TINY, "learning_rate": 0.1}))
-        assert run_cli("run", "--config", str(config)) == 2
-        err = capsys.readouterr().err
-        assert "learning_rate" in err
-        assert str(config) in err
 
     def test_reruns_are_byte_identical(self, tmp_path):
         paths = {}
@@ -208,6 +176,24 @@ class TestCompare:
         code = run_cli("compare", "--streams", TINY, "--sl", "oracle")
         assert code == 2
         assert "--learners/--al/--sl/--budgets:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("gen:kind=gradual,n=1200,changes=600", "gradual drift needs a transition width >= 1"),
+            ("gen:n=1200,classes=1", "gaussian-clusters needs at least 2 classes"),
+            ("gen:n=500,changes=600", "change point 600 outside stream of 500 instances"),
+            ("gen:n=0", "stream length must be at least 1"),
+        ],
+        ids=["gradual-without-width", "one-class", "change-past-end", "empty"],
+    )
+    def test_unloadable_generator_spec_fails_before_any_run(self, spec, message, capsys):
+        # compare used to run every cell, record each as failed and exit 0
+        for argv in (("compare", "--streams", spec, "--budgets", "0.1"), ("run", "--stream", spec)):
+            assert run_cli(*argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}\n"
+            assert captured.out == ""
 
 
 class TestGenerate:

@@ -236,11 +236,11 @@ def test_make_family_bad_params():
     "setting", ["radius=inf", "radius=nan", "spread=nan", "spread=inf", "rotation=inf", "rotation=-inf"]
 )
 def test_non_finite_gaussian_parameters_are_config_errors(setting):
-    # each of these used to load as a stream whose every cell was inf or NaN
-    spec = parse_stream_spec(f"gen:family=gaussian-clusters,n=200,{setting}")
+    # each of these used to load as a stream whose every cell was inf or
+    # NaN; the spec is now rejected when it is parsed
     key = setting.partition("=")[0]
     with pytest.raises(ConfigError, match=f"{key} must be finite"):
-        spec.load(seed_fallback=0)
+        parse_stream_spec(f"gen:family=gaussian-clusters,n=200,{setting}")
 
 
 def test_parameters_that_overflow_the_features_are_config_errors():

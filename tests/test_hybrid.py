@@ -196,7 +196,7 @@ class TestHybridConfig:
 
     def test_factories_cover_registries(self):
         for make in LEARNERS.values():
-            make(SCHEMA, 0)
+            make(SCHEMA)
         rng = np.random.default_rng(0)
         for make in ACTIVE.values():
             make(0.1, rng)

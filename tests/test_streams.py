@@ -8,6 +8,7 @@ from driftlab.core import (
     NUMERIC,
     Attribute,
     ConfigError,
+    DriftLabError,
     Instance,
     LoadedStream,
     SchemaMismatch,
@@ -37,55 +38,41 @@ MIXED_SCHEMA = StreamSchema(
 
 
 class TestReadCsv:
-    def test_with_schema(self, tmp_path):
-        p = tmp_path / "s.csv"
-        p.write_text("temp,sky,class\n21.5,clear,go\n3.0,cloudy,stay\n")
-        stream = read_csv(p, schema=MIXED_SCHEMA)
-        assert stream.instances == [
-            Instance((21.5, 0), label=1),
-            Instance((3.0, 1), label=0),
-        ]
-        assert stream.schema is MIXED_SCHEMA
-        assert stream.name == "s"
-
     def test_missing_cells(self, tmp_path):
         p = tmp_path / "s.csv"
-        p.write_text("temp,sky,class\n?,clear,go\n4.5,?,stay\n,,go\n")
-        stream = read_csv(p, schema=MIXED_SCHEMA)
-        assert stream.instances[0].features == (MISSING, 0)
+        p.write_text("temp,wind,class\n?,1.0,go\n4.5,?,stay\n,,go\n")
+        stream = read_csv(p)
+        assert stream.instances[0].features == (MISSING, 1.0)
         assert stream.instances[1].features == (4.5, MISSING)
         assert stream.instances[2].features == (MISSING, MISSING)
 
     def test_arity_mismatch(self, tmp_path):
         p = tmp_path / "s.csv"
-        p.write_text("1.0,clear,go\n1.0,go\n")
+        p.write_text("1.0,2.0,go\n1.0,go\n")
         with pytest.raises(SchemaMismatch, match=":2"):
-            read_csv(p, schema=MIXED_SCHEMA, has_header=False)
+            read_csv(p, has_header=False)
 
-    def test_unknown_nominal_value(self, tmp_path):
+    @pytest.mark.parametrize("name", [None, "renamed"])
+    def test_errors_name_file_lines_past_blank_lines(self, tmp_path, name):
+        # the error names the file, whatever the stream is called
         p = tmp_path / "s.csv"
-        p.write_text("1.0,stormy,go\n")
-        with pytest.raises(UnknownNominalValue, match="stormy"):
-            read_csv(p, schema=MIXED_SCHEMA, has_header=False)
-
-    def test_unknown_class(self, tmp_path):
-        p = tmp_path / "s.csv"
-        p.write_text("1.0,clear,sprint\n")
-        with pytest.raises(UnknownClass, match="sprint"):
-            read_csv(p, schema=MIXED_SCHEMA, has_header=False)
+        p.write_text("temp,wind,class\n\n1.0,2.0,go\n\n\n1.0,go\n")
+        with pytest.raises(SchemaMismatch, match=r"s\.csv:6: expected 3 fields"):
+            read_csv(p, name=name)
 
     def test_unknown_class_names_file_line(self, tmp_path):
+        # a missing class cell is not registered as a class of its own
         p = tmp_path / "s.csv"
-        p.write_text("temp,sky,class\n1.0,clear,go\n\n1.0,clear,sprint\n")
-        with pytest.raises(UnknownClass, match=r"s\.csv:4: unknown class value 'sprint'"):
-            read_csv(p, schema=MIXED_SCHEMA)
+        for cell, shown in (("?", r"'\?'"), ("", "''")):
+            p.write_text(f"temp,wind,class\n1.0,2.0,go\n\n1.0,2.0,{cell}\n")
+            with pytest.raises(UnknownClass, match=r"s\.csv:4: unknown class value " + shown):
+                read_csv(p)
 
-    @pytest.mark.parametrize("schema", [MIXED_SCHEMA, None])
-    def test_errors_name_file_lines_past_blank_lines(self, tmp_path, schema):
+    def test_short_first_row_names_its_file_line(self, tmp_path):
         p = tmp_path / "s.csv"
-        p.write_text("temp,sky,class\n\n1.0,clear,go\n\n\n1.0,go\n")
-        with pytest.raises(SchemaMismatch, match=r"s\.csv:6: expected 3 fields"):
-            read_csv(p, schema=schema)
+        p.write_text("a,class\n\n\ngo\n")
+        with pytest.raises(SchemaMismatch, match=r"s\.csv:4: rows need at least 2 fields"):
+            read_csv(p)
 
     def test_inferred_schema_is_all_numeric(self, tmp_path):
         p = tmp_path / "s.csv"
@@ -111,8 +98,9 @@ class TestReadCsv:
         # first row with any numeric-looking cell is data
         p = tmp_path / "s.csv"
         p.write_text("1.0,clear,go\n2.0,cloudy,stay\n")
-        stream = read_csv(p, schema=MIXED_SCHEMA)
+        stream = read_csv(p)
         assert len(stream) == 2
+        assert stream.instances[0].features == (1.0, MISSING)
 
     def test_header_forced_off(self, tmp_path):
         # a row that would auto-detect as a header is kept as data
@@ -125,9 +113,10 @@ class TestReadCsv:
 
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "s.csv"
-        p.write_text("temp,sky,class\n\n1.0,clear,go\n\n")
-        stream = read_csv(p, schema=MIXED_SCHEMA)
-        assert len(stream) == 1
+        p.write_text("temp,wind,class\n\n1.0,2.0,go\n\n3.0,4.0,stay\n\n")
+        stream = read_csv(p)
+        assert len(stream) == 2
+        assert [a.name for a in stream.schema.attributes] == ["temp", "wind"]
 
     def test_empty_file_without_schema(self, tmp_path):
         p = tmp_path / "s.csv"
@@ -147,7 +136,7 @@ class TestReadCsv:
 
 
 class TestWriteCsv:
-    def test_round_trip_with_schema(self, tmp_path):
+    def test_writes_nominal_cells_by_name(self, tmp_path):
         rows = [
             Instance((21.5, 0), label=1),
             Instance((MISSING, 1), label=0),
@@ -156,8 +145,9 @@ class TestWriteCsv:
         stream = LoadedStream("w", MIXED_SCHEMA, rows, {})
         p = tmp_path / "out.csv"
         write_csv(p, stream)
-        back = read_csv(p, schema=MIXED_SCHEMA)
-        assert back.instances == rows
+        assert p.read_bytes().decode() == (
+            "temp,sky,class\r\n21.5,clear,go\r\n?,cloudy,stay\r\n-3.25e-05,?,go\r\n"
+        )
 
     def test_rejects_unlabeled(self, tmp_path):
         stream = LoadedStream("w", MIXED_SCHEMA, [Instance((1.0, 0))], {})
@@ -190,15 +180,22 @@ class TestWriteCsv:
     )
 )
 def test_csv_round_trip_property(tmp_path_factory, rows):
-    # shortest-repr float formatting must survive a full write/read cycle
+    # shortest-repr float formatting must survive a full write/read cycle;
+    # a CSV stream needs two classes, so one row of each closes the file
     schema = StreamSchema(
         (Attribute("x0", NUMERIC), Attribute("x1", NUMERIC)), ("c0", "c1")
     )
+    rows = rows + [(0.0, None, 0), (0.0, None, 1)]
     instances = [Instance((a, b), label=y) for a, b, y in rows]
     stream = LoadedStream("prop", schema, instances, {})
     p = tmp_path_factory.mktemp("rt") / "x.csv"
     write_csv(p, stream)
-    assert read_csv(p, schema=schema).instances == instances
+    back = read_csv(p)
+    assert [i.features for i in back] == [i.features for i in instances]
+    # classes are numbered in order of first appearance, so compare names
+    assert [back.schema.class_names[i.label] for i in back] == [
+        schema.class_names[i.label] for i in instances
+    ]
 
 
 ARFF_OK = """% toy weather stream
@@ -296,8 +293,8 @@ class TestReadArff:
 
     def test_unknown_class_value(self, tmp_path):
         p = tmp_path / "w.arff"
-        p.write_text(ARFF_OK + "5.0, clear, maybe\n")
-        with pytest.raises(UnknownClass, match="maybe"):
+        p.write_text(ARFF_OK + "\n5.0, clear, maybe\n")
+        with pytest.raises(UnknownClass, match=r"w\.arff:13: unknown class value 'maybe'"):
             read_arff(p)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
@@ -395,6 +392,21 @@ class TestStreamSpec:
     def test_unknown_family(self):
         with pytest.raises(ConfigError, match="mystery"):
             parse_stream_spec("gen:family=mystery")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("gen:kind=gradual,n=1200,changes=600", "transition width >= 1"),
+            ("gen:n=1200,classes=1", "at least 2 classes"),
+            ("gen:n=500,changes=600", "change point 600 outside stream of 500"),
+            ("gen:n=0", "stream length must be at least 1"),
+            ("gen:family=sea-like-thresholds,classes=3", "bad parameters"),
+        ],
+        ids=["gradual-without-width", "one-class", "change-past-end", "empty", "bad-family-parameter"],
+    )
+    def test_unloadable_generator_spec_fails_at_parse(self, text, message):
+        with pytest.raises(DriftLabError, match=message):
+            parse_stream_spec(text)
 
     def test_missing_equals_sign(self):
         with pytest.raises(ConfigError):
