@@ -44,6 +44,8 @@ def _write_json(path, payload):
 def cmd_run(args) -> int:
     if args.stream is None:
         raise ConfigError("--stream is required (path or gen: spec)")
+    if args.stride < 1:
+        raise ConfigError("--stride must be at least 1")
     try:
         config = HybridConfig(
             learner=args.learner,
@@ -106,17 +108,17 @@ def cmd_compare(args) -> int:
             window=args.window,
         )
     except ConfigError as exc:
-        raise ConfigError(f"--learners/--al/--sl/--budgets: {exc}")
+        raise ConfigError(f"--learners/--al/--sl/--budgets/--window: {exc}")
 
-    result = run_grid(spec, jobs=resolve_jobs(args.jobs))
-    text = to_text(result.report)
+    report = run_grid(spec, jobs=resolve_jobs(args.jobs))
+    text = to_text(report)
     print(text, end="")
     if args.table_out is not None:
         with open(args.table_out, "w", encoding="utf-8") as fh:
             fh.write(text)
     if args.records_out is not None:
         with open(args.records_out, "w", encoding="utf-8") as fh:
-            for record in to_records(result.report):
+            for record in to_records(report):
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
     return 0
 
@@ -201,7 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--out", required=True)
     generate.add_argument("--changes", help="comma list (default: one at n/2)")
-    generate.add_argument("--width", type=int, default=DriftProfile.width)
+    generate.add_argument(
+        "--width", type=int, default=DriftProfile.width,
+        help="transition width; gradual, incremental and recurring drift need >= 1",
+    )
     generate.add_argument("--cycle", type=int, default=DriftProfile.cycle_length)
     generate.set_defaults(handler=cmd_generate)
     return parser

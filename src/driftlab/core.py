@@ -93,12 +93,6 @@ class StreamSchema:
     def n_attributes(self) -> int:
         return len(self.attributes)
 
-    def class_index(self, name: str) -> int:
-        try:
-            return self.class_names.index(name)
-        except ValueError:
-            raise UnknownClass(f"unknown class value {name!r}") from None
-
 
 class Instance:
     """One stream element: a feature tuple plus the hidden true label index.

@@ -13,7 +13,7 @@ baseline).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 from .core import ConfigError
@@ -56,7 +56,12 @@ class PrequentialWindow:
 
 @dataclass(frozen=True)
 class CellResult:
-    """Seed-averaged outcome of one strategy in one table cell."""
+    """Seed-averaged outcome of one strategy in one table cell.
+
+    ``best`` and ``improved`` are the report's flags, set by
+    :func:`build_report`; ``improved`` stays None for a baseline cell
+    and for a hybrid whose block has no pure baseline.
+    """
 
     stream: str
     learner: str
@@ -64,27 +69,29 @@ class CellResult:
     hybrid: bool
     budget: float
     accuracy: float
-    spend: float = 0.0
-    seeds: int = 1
+    spend: float
+    seeds: int
     error: Optional[str] = None
+    best: bool = False
+    improved: Optional[bool] = None
 
 
 @dataclass(frozen=True)
-class CellFlags:
-    cell: CellResult
-    best: bool
-    improved: Optional[bool]  # None when the block has no pure baseline
-
-
-@dataclass
 class ComparisonReport:
-    """Flagged cells plus the Acc/Fh aggregates."""
+    """Every cell in row order, flagged, plus the Acc/Fh aggregates."""
 
-    flagged: list = field(default_factory=list)
-    acc: float = 0.0
-    fh: float = 0.0
-    hybrid_cells: int = 0
-    failures: list = field(default_factory=list)
+    cells: tuple
+    acc: float
+    fh: float
+    hybrid_cells: int
+
+    @property
+    def scored(self) -> list:
+        return [cell for cell in self.cells if cell.error is None]
+
+    @property
+    def failures(self) -> list:
+        return [cell for cell in self.cells if cell.error is not None]
 
 
 def _block_key(cell: CellResult):
@@ -98,71 +105,44 @@ def build_report(cells) -> ComparisonReport:
     accuracy among non-hybrid cells; a hybrid cell is an improvement iff
     it strictly beats that baseline. Acc averages hybrid accuracies, Fh
     is the improved fraction over hybrid cells that have a baseline.
+    Failed cells keep their place, unflagged.
     """
     cells = list(cells)
-    failures = [c for c in cells if c.error is not None]
-    scored = [c for c in cells if c.error is None]
-
     baselines = {}
     best = {}
-    for cell in scored:
-        key = _block_key(cell)
-        if not cell.hybrid:
-            prior = baselines.get(key)
-            if prior is None or cell.accuracy > prior:
-                baselines[key] = cell.accuracy
-        prior = best.get(key)
-        if prior is None or cell.accuracy > prior:
-            best[key] = cell.accuracy
+    for cell in cells:
+        if cell.error is None:
+            key = _block_key(cell)
+            best[key] = max(best.get(key, cell.accuracy), cell.accuracy)
+            if not cell.hybrid:
+                baselines[key] = max(baselines.get(key, cell.accuracy), cell.accuracy)
 
     flagged = []
-    improved_count = 0
-    judged = 0
-    acc_sum = 0.0
-    hybrid_cells = 0
-    for cell in scored:
-        key = _block_key(cell)
-        baseline = baselines.get(key)
-        improved = None
-        if cell.hybrid:
-            hybrid_cells += 1
-            acc_sum += cell.accuracy
-            if baseline is not None:
-                improved = cell.accuracy > baseline
-                judged += 1
-                if improved:
-                    improved_count += 1
-        flagged.append(CellFlags(cell, cell.accuracy == best[key], improved))
+    for cell in cells:
+        if cell.error is None:
+            key = _block_key(cell)
+            baseline = baselines.get(key)
+            improved = cell.accuracy > baseline if cell.hybrid and baseline is not None else None
+            cell = replace(cell, best=cell.accuracy == best[key], improved=improved)
+        flagged.append(cell)
 
-    report = ComparisonReport(flagged=flagged, failures=failures)
-    report.hybrid_cells = hybrid_cells
-    if hybrid_cells:
-        report.acc = acc_sum / hybrid_cells
-    if judged:
-        report.fh = improved_count / judged
-    return report
+    hybrids = [c for c in flagged if c.hybrid and c.error is None]
+    judged = [c for c in hybrids if c.improved is not None]
+    return ComparisonReport(
+        cells=tuple(flagged),
+        acc=sum(c.accuracy for c in hybrids) / len(hybrids) if hybrids else 0.0,
+        fh=sum(c.improved for c in judged) / len(judged) if judged else 0.0,
+        hybrid_cells=len(hybrids),
+    )
 
 
 def to_records(report: ComparisonReport) -> list:
     """Flatten a report into plain dicts, cells first, aggregate last."""
     records = []
-    for flags in report.flagged:
-        cell = flags.cell
-        records.append(
-            {
-                "kind": "cell",
-                "stream": cell.stream,
-                "learner": cell.learner,
-                "strategy": cell.strategy,
-                "hybrid": cell.hybrid,
-                "budget": cell.budget,
-                "accuracy": cell.accuracy,
-                "spend": cell.spend,
-                "seeds": cell.seeds,
-                "best": flags.best,
-                "improved": flags.improved,
-            }
-        )
+    for cell in report.scored:
+        record = asdict(cell)
+        del record["error"]
+        records.append(dict(record, kind="cell"))
     for cell in report.failures:
         records.append(
             {
@@ -194,12 +174,12 @@ def to_text(report: ComparisonReport) -> str:
     baseline get a plus.
     """
     groups = {}
-    budgets = sorted({f.cell.budget for f in report.flagged})
-    for flags in report.flagged:
-        cell = flags.cell
+    scored = report.scored
+    budgets = sorted({cell.budget for cell in scored})
+    for cell in scored:
         groups.setdefault((cell.stream, cell.learner), {}).setdefault(
             cell.strategy, {}
-        )[cell.budget] = flags
+        )[cell.budget] = cell
 
     lines = []
     for (stream, learner), rows in groups.items():
@@ -209,13 +189,13 @@ def to_text(report: ComparisonReport) -> str:
         for strategy, by_budget in rows.items():
             row = [strategy.ljust(18)]
             for b in budgets:
-                flags = by_budget.get(b)
-                if flags is None:
+                cell = by_budget.get(b)
+                if cell is None:
                     row.append("-".rjust(12))
                     continue
-                mark = "*" if flags.best else ""
-                mark += "+" if flags.improved else ""
-                row.append(f"{flags.cell.accuracy * 100:.2f}{mark}".rjust(12))
+                mark = "*" if cell.best else ""
+                mark += "+" if cell.improved else ""
+                row.append(f"{cell.accuracy * 100:.2f}{mark}".rjust(12))
             lines.append("  " + " ".join(row))
         lines.append("")
     for cell in report.failures:

@@ -5,7 +5,8 @@ per query strategy) or a hybrid pairing of the adaptive query strategy
 with one self-labeling policy. Every row runs once per seed and per
 budget; seed results average into one cell. Cells run independently,
 optionally across processes, and a failed cell is reported inside the
-result table instead of aborting the sweep.
+result table instead of aborting the sweep; only a stream file that
+cannot be read ends it.
 """
 
 from __future__ import annotations
@@ -13,27 +14,35 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .core import ConfigError
 from .evaluation import CellResult, ComparisonReport, build_report
-from .hybrid import ACTIVE, LEARNERS, SELF_LABEL, HybridConfig, run_stream
+from .hybrid import ACTIVE, SELF_LABEL, HybridConfig, run_stream
 from .streams import StreamSpec
 
 
 @dataclass(frozen=True)
 class GridRow:
+    """One table row: a stream, its strategy label and the run it makes.
+
+    ``config`` leaves the seed at its default; each run sets its own.
+    """
+
     stream: StreamSpec
-    learner: str
     strategy: str
-    active: str
-    self_label: str
-    budget: float
+    config: HybridConfig
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Cartesian description of a comparison sweep."""
+    """Cartesian description of a comparison sweep.
+
+    Names, budgets and the window are checked by each row's
+    ``HybridConfig``, built here once so a bad setting fails before any
+    run starts; a grid with no rows would check none of them and is
+    rejected.
+    """
 
     streams: tuple
     learners: tuple = ("nb",)
@@ -48,17 +57,8 @@ class GridSpec:
             raise ConfigError("grid needs at least one stream")
         if not self.seeds:
             raise ConfigError("grid needs at least one seed")
-        for kind, names, registry in (
-            ("learner", self.learners, LEARNERS),
-            ("active strategy", self.active, ACTIVE),
-            ("self-label strategy", self.self_label, SELF_LABEL),
-        ):
-            for name in names:
-                if registry.get(name) is None:
-                    raise ConfigError(f"unknown {kind} {name!r}")
-        for budget in self.budgets:
-            if not 0.0 <= budget <= 1.0:
-                raise ConfigError("budgets must lie in [0, 1]")
+        if "none" in self.self_label:
+            raise ConfigError("'none' is not a hybrid self-label strategy")
         names = [stream.name for stream in self.streams]
         for name in names:
             if names.count(name) > 1:
@@ -66,6 +66,8 @@ class GridSpec:
                     f"two streams are named {name!r}; give each its own"
                     " name= (for files, rename one)"
                 )
+        if not grid_rows(self):
+            raise ConfigError("grid has no rows: give a learner, a budget and a strategy")
 
 
 def grid_rows(spec: GridSpec) -> list:
@@ -79,13 +81,11 @@ def grid_rows(spec: GridSpec) -> list:
         for learner in spec.learners:
             for budget in spec.budgets:
                 for active in spec.active:
-                    rows.append(
-                        GridRow(stream, learner, active, active, "none", budget)
-                    )
+                    config = HybridConfig(learner, active, "none", budget, window=spec.window)
+                    rows.append(GridRow(stream, active, config))
                 for sl in spec.self_label:
-                    rows.append(
-                        GridRow(stream, learner, f"randvar+{sl}", "randvar", sl, budget)
-                    )
+                    config = HybridConfig(learner, "randvar", sl, budget, window=spec.window)
+                    rows.append(GridRow(stream, f"randvar+{sl}", config))
     return rows
 
 
@@ -106,26 +106,23 @@ def _load_stream(spec: StreamSpec, seed: int):
 
 
 def _run_cell(task):
-    """One (row, seed) execution; returns accuracy and spend or an error."""
-    row, seed, window = task
+    """One (row, seed) run; returns accuracy and spend or an error.
+
+    An unreadable stream file ends the sweep, as it ends ``run``.
+    """
+    row, seed = task
     try:
-        config = HybridConfig(
-            learner=row.learner,
-            active=row.active,
-            self_label=row.self_label,
-            budget=row.budget,
-            seed=seed,
-            window=window,
-        )
         stream = _load_stream(row.stream, seed)
-        _, summary = run_stream(stream, config)
+        _, summary = run_stream(stream, replace(row.config, seed=seed))
         return (summary.accuracy, summary.final_spend, None)
+    except OSError:
+        raise
     except Exception as exc:  # cell failures land in the report
         return (0.0, 0.0, f"{type(exc).__name__}: {exc}")
 
 
-def resolve_jobs(jobs=None) -> int:
-    """Worker count: DRIFTLAB_JOBS wins over the argument, floor 1."""
+def resolve_jobs(jobs) -> int:
+    """Worker count: DRIFTLAB_JOBS wins over ``jobs``; None means 1, floor 1."""
     env = os.environ.get("DRIFTLAB_JOBS")
     if env is not None:
         try:
@@ -137,21 +134,14 @@ def resolve_jobs(jobs=None) -> int:
     return max(1, int(jobs))
 
 
-@dataclass
-class GridResult:
-    report: ComparisonReport
-    cells: list = field(default_factory=list)
-    runs: int = 0
-
-
-def run_grid(spec: GridSpec, jobs: int = 1) -> GridResult:
+def run_grid(spec: GridSpec, jobs: int = 1) -> ComparisonReport:
     """Execute every row for every seed and assemble the report.
 
     ``jobs`` > 1 spreads (row, seed) tasks over worker processes, at most
     one per task and per CPU; the default stays fully in-process.
     """
     rows = grid_rows(spec)
-    tasks = [(row, seed, spec.window) for row in rows for seed in spec.seeds]
+    tasks = [(row, seed) for row in rows for seed in spec.seeds]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -168,17 +158,18 @@ def run_grid(spec: GridSpec, jobs: int = 1) -> GridResult:
     for i, row in enumerate(rows):
         chunk = outcomes[i * n_seeds : (i + 1) * n_seeds]
         errors = [e for _, _, e in chunk if e is not None]
+        config = row.config
         cells.append(
             CellResult(
                 stream=row.stream.name,
-                learner=row.learner,
+                learner=config.learner,
                 strategy=row.strategy,
-                hybrid=row.self_label != "none",
-                budget=row.budget,
+                hybrid=config.self_label != "none",
+                budget=config.budget,
                 accuracy=0.0 if errors else sum(a for a, _, _ in chunk) / n_seeds,
                 spend=0.0 if errors else sum(s for _, s, _ in chunk) / n_seeds,
                 seeds=n_seeds,
                 error=errors[0] if errors else None,
             )
         )
-    return GridResult(report=build_report(cells), cells=cells, runs=len(tasks))
+    return build_report(cells)

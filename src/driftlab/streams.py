@@ -329,7 +329,9 @@ def parse_stream_spec(text, fmt=None) -> StreamSpec:
     ``gen:family=gaussian-clusters,kind=sudden,n=20000,changes=10000``.
     Recognized keys: name, family, kind, n, changes (``|``-separated
     indices), width, seed, cycle, and the family parameters classes,
-    dims, radius, spread, rotation, noise. The drift profile, the stream
+    dims, radius, spread, rotation, noise. Without ``name``, the stream
+    is named ``<family>-<kind>-<n>`` followed by ``-key=value`` for each
+    other key, in the order written. The drift profile, the stream
     length and the family with its parameters are checked here, by the
     generator's own code. Anything else is a path to a stream file; its
     format comes from ``fmt`` or the file extension.
@@ -339,12 +341,15 @@ def parse_stream_spec(text, fmt=None) -> StreamSpec:
         settings = {}
         params = {}
         name = None
+        suffix = ""  # every key the default name does not already show
         for pair in filter(None, body.split(",")):
             if "=" not in pair:
                 raise ConfigError(f"--stream generator spec needs key=value pairs, got {pair!r}")
             key, _, value = pair.partition("=")
             key = key.strip()
             value = value.strip()
+            if key not in ("name", "family", "kind", "n"):
+                suffix += f"-{key}={value}"
             try:
                 if key == "name":
                     name = value
@@ -383,7 +388,7 @@ def parse_stream_spec(text, fmt=None) -> StreamSpec:
         # the generator's own checks, so a spec that cannot load fails here
         checked_family(_profile(generator), family, generator["n"], **params)
         if name is None:
-            name = f"{family}-{generator['kind']}-{generator['n']}"
+            name = f"{family}-{generator['kind']}-{generator['n']}{suffix}"
         return StreamSpec(name=name, generator=generator)
 
     name = os.path.splitext(os.path.basename(text))[0]

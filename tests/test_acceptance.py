@@ -515,13 +515,13 @@ def test_10_electricity_end_to_end():
 
     spec = GridSpec(streams=(parse_stream_spec(str(path)),))
     started = time.perf_counter()
-    result = run_grid(spec)
+    report = run_grid(spec)
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0, f"comparison took {elapsed:.0f}s"
-    assert not result.report.failures
+    assert not report.failures
 
     by_budget = {}
-    for cell in result.cells:
+    for cell in report.cells:
         by_budget.setdefault(cell.budget, []).append(cell.accuracy)
     budgets = sorted(by_budget)
     means = [sum(v) / len(v) for v in (by_budget[b] for b in budgets)]

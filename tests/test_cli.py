@@ -97,6 +97,19 @@ class TestRun:
         assert run_cli("run", "--budget", "0.2") == 2
         assert "--stream" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stride", ["0", "-1"])
+    @pytest.mark.parametrize("with_series", [True, False])
+    def test_stride_below_one_rejected(self, stride, with_series, capsys, tmp_path):
+        series = tmp_path / "s.csv"
+        argv = ["run", "--stream", TINY, "--stride", stride]
+        if with_series:
+            argv += ["--series-out", str(series)]
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --stride must be at least 1\n"
+        assert captured.out == ""
+        assert not series.exists()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         paths = {}
         for tag in ("a", "b"):
@@ -175,7 +188,28 @@ class TestCompare:
     def test_unknown_strategy_names_flags(self, capsys):
         code = run_cli("compare", "--streams", TINY, "--sl", "oracle")
         assert code == 2
-        assert "--learners/--al/--sl/--budgets:" in capsys.readouterr().err
+        assert "--learners/--al/--sl/--budgets/--window:" in capsys.readouterr().err
+
+    def test_window_below_one_fails_before_any_run(self, capsys):
+        # compare used to run every cell, record each as failed and exit 0
+        code = run_cli(*self.ARGS, "--window", "0")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --learners/--al/--sl/--budgets/--window: window must be at least 1\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_missing_stream_file_is_io_error(self, jobs, capsys, tmp_path):
+        missing = tmp_path / "absent.csv"
+        code = run_cli(
+            "compare", "--streams", TINY, str(missing), "--sl", "fixed", "--budgets", "0.1", "--jobs", jobs
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"i/o error ({missing}): ")
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "spec, message",

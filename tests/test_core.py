@@ -14,7 +14,6 @@ from driftlab.core import (
     InvalidPosterior,
     LoadedStream,
     StreamSchema,
-    UnknownClass,
 )
 
 
@@ -56,14 +55,6 @@ def test_schema_needs_two_classes():
 def test_schema_rejects_duplicate_attribute_names():
     with pytest.raises(ValueError):
         StreamSchema((Attribute("x", NUMERIC), Attribute("x", NUMERIC)), ("a", "b"))
-
-
-def test_class_index_lookup():
-    schema = two_class_schema()
-    assert schema.class_index("no") == 0
-    assert schema.class_index("yes") == 1
-    with pytest.raises(UnknownClass):
-        schema.class_index("maybe")
 
 
 def test_schema_counts():

@@ -97,6 +97,8 @@ def cell(strategy, accuracy, hybrid=True, stream="s", learner="nb", budget=0.05,
         hybrid=hybrid,
         budget=budget,
         accuracy=accuracy,
+        spend=0.0,
+        seeds=1,
         **kw,
     )
 
@@ -129,9 +131,7 @@ class TestBuildReport:
             cell("randvar+fixed", 0.85, budget=0.05),
         ]
         report = build_report(cells)
-        by_key = {
-            (f.cell.strategy, f.cell.budget): f for f in report.flagged
-        }
+        by_key = {(c.strategy, c.budget): c for c in report.scored}
         assert by_key[("randvar+fixed", 0.01)].improved is True
         assert by_key[("randvar+fixed", 0.05)].improved is False
         assert by_key[("randvar", 0.01)].improved is None
@@ -143,13 +143,13 @@ class TestBuildReport:
             cell("randvar+fixed", 0.92),
         ]
         report = build_report(cells)
-        best = {f.cell.strategy: f.best for f in report.flagged}
+        best = {c.strategy: c.best for c in report.scored}
         assert best == {"randvar": False, "randvar+fixed": True}
 
     def test_hybrid_without_baseline_not_judged(self):
         report = build_report([cell("randvar+fixed", 0.9)])
-        (flags,) = report.flagged
-        assert flags.improved is None
+        (scored,) = report.scored
+        assert scored.improved is None
         assert report.fh == 0.0
         assert report.acc == 0.9
 
@@ -159,9 +159,12 @@ class TestBuildReport:
             cell("randvar+bad", 0.0, error="ConfigError: nope"),
         ]
         report = build_report(cells)
-        assert len(report.flagged) == 1
+        assert len(report.scored) == 1
         assert len(report.failures) == 1
         assert report.failures[0].error == "ConfigError: nope"
+        # the report keeps every cell in input order, the failure unflagged
+        assert [c.strategy for c in report.cells] == ["randvar", "randvar+bad"]
+        assert report.cells[1] == cells[1]
 
 
 class TestSerialization:
@@ -180,6 +183,10 @@ class TestSerialization:
         assert kinds == ["cell", "cell", "failure", "aggregate"]
         assert records[-1]["fh"] == 1.0
         assert records[-1]["failures"] == 1
+        assert set(records[0]) == {
+            "kind", "stream", "learner", "strategy", "hybrid", "budget",
+            "accuracy", "spend", "seeds", "best", "improved",
+        }
         # records must be JSON-serializable as-is
         for record in records:
             json.loads(json.dumps(record))

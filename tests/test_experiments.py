@@ -2,13 +2,8 @@ import pytest
 
 from driftlab import experiments
 from driftlab.core import ConfigError
-from driftlab.experiments import (
-    GridResult,
-    GridSpec,
-    grid_rows,
-    resolve_jobs,
-    run_grid,
-)
+from driftlab.evaluation import ComparisonReport
+from driftlab.experiments import GridSpec, grid_rows, resolve_jobs, run_grid
 from driftlab.hybrid import HybridConfig, run_stream
 from driftlab.streams import parse_stream_spec
 
@@ -42,11 +37,24 @@ class TestGridSpec:
             GridSpec(streams=(stream,), self_label=("none",))
         with pytest.raises(ConfigError):
             GridSpec(streams=(stream,), budgets=(1.5,))
+        with pytest.raises(ConfigError, match="window"):
+            GridSpec(streams=(stream,), window=0)
+        # no rows would leave the unknown learner unchecked
+        with pytest.raises(ConfigError, match="no rows"):
+            GridSpec(streams=(stream,), learners=("gbm",), budgets=())
+        with pytest.raises(ConfigError, match="no rows"):
+            GridSpec(streams=(stream,), active=(), self_label=())
 
-    def test_streams_differing_only_in_seed_need_names(self):
-        # both specs get the default name gaussian-clusters-sudden-60
+    def test_streams_differing_only_in_seed_get_distinct_names(self):
+        first, second = tiny_stream(seed=1), tiny_stream(seed=2)
+        assert first.name == "gaussian-clusters-sudden-60-seed=1"
+        assert second.name == "gaussian-clusters-sudden-60-seed=2"
+        spec = GridSpec(streams=(first, second), active=("random",), self_label=())
+        assert [row.stream for row in grid_rows(spec)] == [first] * 5 + [second] * 5
+
+    def test_equal_names_are_rejected(self):
         with pytest.raises(ConfigError, match="name="):
-            GridSpec(streams=(tiny_stream(seed=1), tiny_stream(seed=2)))
+            GridSpec(streams=(tiny_stream(seed=1, name="s"), tiny_stream(seed=2, name="s")))
 
 
 class TestGridRows:
@@ -59,7 +67,8 @@ class TestGridRows:
         )
         rows = grid_rows(spec)
         assert len(rows) == 12  # 2 streams x 1 learner x 2 budgets x 3 query rows
-        assert all(row.self_label == "none" for row in rows)
+        assert all(row.config.self_label == "none" for row in rows)
+        assert all(row.config.seed == HybridConfig.seed for row in rows)
 
     def test_row_labels(self):
         spec = GridSpec(
@@ -67,14 +76,16 @@ class TestGridRows:
             self_label=("fixed", "cddm"),
             budgets=(0.2,),
         )
-        labels = [row.strategy for row in grid_rows(spec)]
+        rows = grid_rows(spec)
+        labels = [row.strategy for row in rows]
         assert labels == ["random", "sampling", "randvar", "randvar+fixed", "randvar+cddm"]
+        assert rows[-1].config == HybridConfig("nb", "randvar", "cddm", 0.2)
 
 
 class TestResolveJobs:
     def test_default_is_one(self, monkeypatch):
         monkeypatch.delenv("DRIFTLAB_JOBS", raising=False)
-        assert resolve_jobs() == 1
+        assert resolve_jobs(None) == 1
         assert resolve_jobs(3) == 3
 
     def test_env_overrides_argument(self, monkeypatch):
@@ -84,7 +95,7 @@ class TestResolveJobs:
     def test_bad_env_value(self, monkeypatch):
         monkeypatch.setenv("DRIFTLAB_JOBS", "fast")
         with pytest.raises(ConfigError, match="DRIFTLAB_JOBS"):
-            resolve_jobs()
+            resolve_jobs(None)
 
     def test_floor_at_one(self, monkeypatch):
         monkeypatch.delenv("DRIFTLAB_JOBS", raising=False)
@@ -100,27 +111,37 @@ class TestRunGrid:
             budgets=(0.1, 0.5),
             seeds=(0, 1, 2),
         )
-        result = run_grid(spec)
-        assert isinstance(result, GridResult)
-        assert result.runs == 36
-        assert len(result.cells) == 12
-        assert all(cell.error is None for cell in result.cells)
-        assert all(cell.seeds == 3 for cell in result.cells)
+        report = run_grid(spec)
+        assert isinstance(report, ComparisonReport)
+        assert len(report.cells) == 12
+        assert all(cell.error is None for cell in report.cells)
+        assert all(cell.seeds == 3 for cell in report.cells)
 
     def test_failure_cell_recorded_not_fatal(self, tmp_path):
-        # a stream whose file is gone fails inside its own cells only
-        missing = parse_stream_spec(str(tmp_path / "gone.csv"))
+        # a stream with no data rows fails inside its own cells only
+        empty = tmp_path / "empty.csv"
+        empty.write_text("a,b,class\n")
         spec = GridSpec(
-            streams=(tiny_stream(), missing),
+            streams=(tiny_stream(), parse_stream_spec(str(empty))),
             self_label=("fixed", "invunc"),
             budgets=(0.1,),
         )
-        result = run_grid(spec)
-        failed = [c for c in result.cells if c.error is not None]
-        assert [c.stream for c in failed] == ["gone"] * 5
-        assert all("FileNotFoundError" in c.error for c in failed)
-        assert all(c.error is None for c in result.cells if c.stream != "gone")
-        assert list(result.report.failures) == failed
+        report = run_grid(spec)
+        failed = [c for c in report.cells if c.error is not None]
+        assert [c.stream for c in failed] == ["empty"] * 5
+        assert all(c.error.startswith("SchemaMismatch: ") for c in failed)
+        assert all("no data rows" in c.error for c in failed)
+        assert all(c.error is None for c in report.cells if c.stream != "empty")
+        assert report.failures == failed
+
+    def test_unreadable_stream_file_ends_the_grid(self, tmp_path):
+        missing = parse_stream_spec(str(tmp_path / "gone.csv"))
+        spec = GridSpec(
+            streams=(tiny_stream(), missing), active=("random",), self_label=(), budgets=(0.1,)
+        )
+        with pytest.raises(FileNotFoundError):
+            run_grid(spec)
+        assert experiments._stream_cache == {}
 
     def test_stream_cache_is_emptied_after_a_grid(self):
         spec = GridSpec(
@@ -138,7 +159,7 @@ class TestRunGrid:
         )
         first = run_grid(spec)
         second = run_grid(spec)
-        assert first.cells == second.cells
+        assert first == second
 
     def test_parallel_matches_serial(self):
         spec = GridSpec(
@@ -149,7 +170,7 @@ class TestRunGrid:
         )
         serial = run_grid(spec, jobs=1)
         parallel = run_grid(spec, jobs=2)
-        assert serial.cells == parallel.cells
+        assert serial == parallel
 
     @pytest.fixture
     def fake_pool(self, monkeypatch):
@@ -182,7 +203,7 @@ class TestRunGrid:
             budgets=(0.5,),
             seeds=(0, 1, 2),
         )  # two rows x three seeds = 6 tasks
-        serial = run_grid(spec).cells
+        serial = run_grid(spec)
         for jobs, cpus, workers in (
             (10_000, 4, 4),  # at most one worker per CPU
             (10_000, 64, 6),  # at most one worker per task
@@ -192,7 +213,7 @@ class TestRunGrid:
         ):
             monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
             fake_pool.clear()
-            assert run_grid(spec, jobs=jobs).cells == serial
+            assert run_grid(spec, jobs=jobs) == serial
             assert fake_pool == ([] if workers is None else [workers]), (jobs, cpus)
 
     def test_env_jobs_still_win_before_the_clamp(self, fake_pool, monkeypatch):
@@ -221,9 +242,8 @@ class TestRunGrid:
             budgets=(1.0,),
             seeds=(0, 1, 2, 3),
         )
-        result = run_grid(spec)
-        assert result.cells[0].seeds == 4
-        assert result.runs == 4
+        (cell,) = run_grid(spec).cells
+        assert cell.seeds == 4
 
     def test_distinct_names_give_distinct_streams(self):
         spec = GridSpec(
@@ -254,8 +274,7 @@ class TestRunGrid:
             self_label=("fixed", "winerr"),
             budgets=(0.1,),
         )
-        result = run_grid(spec)
-        report = result.report
+        report = run_grid(spec)
         assert report.hybrid_cells == 2
         assert 0.0 <= report.acc <= 1.0
         assert 0.0 <= report.fh <= 1.0

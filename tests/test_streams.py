@@ -381,6 +381,12 @@ class TestStreamSpec:
         assert stream.schema.n_attributes == 4
         assert stream.metadata["params"]["radius"] == 2.5
 
+    def test_default_name_carries_every_key_it_does_not_show(self):
+        spec = parse_stream_spec("gen:n=30,classes=3,kind=sudden,seed=2")
+        assert spec.name == "gaussian-clusters-sudden-30-classes=3-seed=2"
+        assert parse_stream_spec("gen:n=30").name == "gaussian-clusters-sudden-30"
+        assert parse_stream_spec("gen:n=30,seed=2,name=mine").name == "mine"
+
     def test_unknown_generator_key(self):
         with pytest.raises(ConfigError, match="wobble"):
             parse_stream_spec("gen:wobble=3")
