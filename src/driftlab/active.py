@@ -33,8 +33,6 @@ class RandomQuery:
     adaptive_threshold = None
 
     def __init__(self, budget: float, rng=None):
-        if not 0.0 <= budget <= 1.0:
-            raise ConfigError("budget must lie in [0, 1]")
         self.budget = float(budget)
         rng = rng if rng is not None else np.random.default_rng(0)
         self._uniform = draws(rng.random).__next__

@@ -56,7 +56,7 @@ def cmd_run(args) -> int:
             window=args.window,
         )
     except ConfigError as exc:
-        raise ConfigError(f"--learner/--al/--sl/--budget: {exc}")
+        raise ConfigError(f"--learner/--al/--sl/--budget/--window: {exc}")
 
     spec = parse_stream_spec(args.stream, fmt=args.format)
     stream = spec.load(seed_fallback=config.seed)

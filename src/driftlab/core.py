@@ -110,14 +110,6 @@ class Instance:
     def __repr__(self):
         return f"Instance({self.features!r}, label={self.label!r})"
 
-    def __eq__(self, other):
-        if not isinstance(other, Instance):
-            return NotImplemented
-        return self.features == other.features and self.label == other.label
-
-    def __hash__(self):
-        return hash((self.features, self.label))
-
 
 @dataclass
 class LoadedStream:
@@ -132,9 +124,6 @@ class LoadedStream:
     schema: StreamSchema
     instances: list
     metadata: dict
-
-    def __iter__(self):
-        return iter(self.instances)
 
     def __len__(self):
         return len(self.instances)
@@ -151,27 +140,15 @@ class ClassPosterior:
     __slots__ = ("probs", "top_index", "top_prob", "second_prob")
 
     def __init__(self, probs):
-        if len(probs) < 2:
-            raise ValueError("a posterior needs at least two classes")
-        if not min(probs) >= 0.0:  # min skips a NaN after entry 0; its NaN sum raises
-            raise _invalid(probs, None)
-        built = self.trusted(probs)
-        self.probs, self.top_index, self.top_prob, self.second_prob = (
-            built.probs, built.top_index, built.top_prob, built.second_prob
-        )
-
-    @classmethod
-    def trusted(cls, probs) -> "ClassPosterior":
-        """The posterior of 2+ entries known not to be negative, without the
-        per-entry check (a NaN entry makes the sum NaN, which still raises).
-        ``+=`` in order, as ``sum()`` rounds differently from Python 3.12."""
+        """Normalize ``probs``, a learner's 2+ entries, none negative; a
+        NaN or inf entry makes the sum non-finite, which raises. ``+=`` in
+        order, as ``sum()`` rounds differently from Python 3.12."""
         total = 0.0
         for p in probs:
             total += p
         if not 0.0 < total < math.inf:  # an inf entry would normalize to NaN
             raise _invalid(probs, total)
         inv = 1.0 / total
-        self = cls.__new__(cls)
         normalized = []
         append = normalized.append
         best = second = -1.0
@@ -188,7 +165,6 @@ class ClassPosterior:
         self.top_index = best_i
         self.top_prob = best
         self.second_prob = second
-        return self
 
     @classmethod
     def uniform(cls, class_count: int) -> "ClassPosterior":
@@ -201,17 +177,6 @@ class ClassPosterior:
         self.top_prob = p
         self.second_prob = p
         return self
-
-    @property
-    def margin(self) -> float:
-        """Gap between the best and second-best class probabilities."""
-        return self.top_prob - self.second_prob
-
-    def __len__(self):
-        return len(self.probs)
-
-    def __getitem__(self, i):
-        return self.probs[i]
 
     def __repr__(self):
         return f"ClassPosterior({self.probs!r})"

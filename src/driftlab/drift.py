@@ -115,13 +115,6 @@ class EddmDetector:
         self._m2 = 0.0
         self._max_sum = 0.0
 
-    def reset(self):
-        self._since = 0
-        self._raw = 1.0
-        self.level = STABLE
-        self._reset_moments()
-        return self
-
     def update(self, is_error) -> str:
         self._since += 1
         if not is_error:

@@ -29,11 +29,6 @@ class PrequentialWindow:
         self._losses = deque(maxlen=self.window)
         self._sum = 0
 
-    def reset(self):
-        self._losses.clear()
-        self._sum = 0
-        return self
-
     def update(self, loss) -> None:
         if loss not in (0, 1):
             raise ValueError("prequential loss must be 0 or 1")
@@ -49,9 +44,6 @@ class PrequentialWindow:
 
     def accuracy(self) -> float:
         return 1.0 - self._sum / len(self._losses) if self._losses else 1.0
-
-    def __len__(self):
-        return len(self._losses)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .core import ConfigError
 from .evaluation import CellResult, ComparisonReport, build_report
@@ -34,31 +34,40 @@ class GridRow:
     config: HybridConfig
 
 
+#: Self-labeling policies a hybrid row can pair with: all but ``none``.
+HYBRID_POLICIES = tuple(name for name, make in SELF_LABEL.items() if make)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Cartesian description of a comparison sweep.
 
+    ``rows`` holds every table row (:func:`grid_rows`), built once here.
     Names, budgets and the window are checked by each row's
-    ``HybridConfig``, built here once so a bad setting fails before any
-    run starts; a grid with no rows would check none of them and is
-    rejected.
+    ``HybridConfig``, so a bad setting fails before any run starts; a
+    grid with no rows would check none of them and is rejected.
     """
 
     streams: tuple
     learners: tuple = ("nb",)
     active: tuple = tuple(ACTIVE)
-    self_label: tuple = tuple(name for name, make in SELF_LABEL.items() if make)
+    self_label: tuple = HYBRID_POLICIES
     budgets: tuple = (0.01, 0.05, 0.10, 0.20, 0.50)
     seeds: tuple = (0,)
     window: int = HybridConfig.window
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.streams:
             raise ConfigError("grid needs at least one stream")
         if not self.seeds:
             raise ConfigError("grid needs at least one seed")
-        if "none" in self.self_label:
-            raise ConfigError("'none' is not a hybrid self-label strategy")
+        for name in self.self_label:
+            if name not in HYBRID_POLICIES:
+                raise ConfigError(
+                    f"unknown hybrid self-label strategy {name!r};"
+                    f" choose from {', '.join(HYBRID_POLICIES)}"
+                )
         names = [stream.name for stream in self.streams]
         for name in names:
             if names.count(name) > 1:
@@ -66,11 +75,12 @@ class GridSpec:
                     f"two streams are named {name!r}; give each its own"
                     " name= (for files, rename one)"
                 )
-        if not grid_rows(self):
+        object.__setattr__(self, "rows", grid_rows(self))
+        if not self.rows:
             raise ConfigError("grid has no rows: give a learner, a budget and a strategy")
 
 
-def grid_rows(spec: GridSpec) -> list:
+def grid_rows(spec: GridSpec) -> tuple:
     """All table rows: baselines per query strategy, then hybrids.
 
     Hybrids pair with ``randvar``: ``invunc`` reads the adaptive
@@ -86,7 +96,7 @@ def grid_rows(spec: GridSpec) -> list:
                 for sl in spec.self_label:
                     config = HybridConfig(learner, "randvar", sl, budget, window=spec.window)
                     rows.append(GridRow(stream, f"randvar+{sl}", config))
-    return rows
+    return tuple(rows)
 
 
 _stream_cache: dict = {}
@@ -140,8 +150,7 @@ def run_grid(spec: GridSpec, jobs: int = 1) -> ComparisonReport:
     ``jobs`` > 1 spreads (row, seed) tasks over worker processes, at most
     one per task and per CPU; the default stays fully in-process.
     """
-    rows = grid_rows(spec)
-    tasks = [(row, seed) for row in rows for seed in spec.seeds]
+    tasks = [(row, seed) for row in spec.rows for seed in spec.seeds]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -155,7 +164,7 @@ def run_grid(spec: GridSpec, jobs: int = 1) -> ComparisonReport:
 
     n_seeds = len(spec.seeds)
     cells = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(spec.rows):
         chunk = outcomes[i * n_seeds : (i + 1) * n_seeds]
         errors = [e for _, _, e in chunk if e is not None]
         config = row.config

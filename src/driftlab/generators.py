@@ -325,7 +325,8 @@ def gen_drift_stream(profile: DriftProfile, family, n: int, seed, name=None, **f
     fam = checked_family(profile, family, n, **family_params)
     rng = np.random.default_rng(seed)
     phases = profile.concept_phases(n, rng)
-    x, y = fam.sample(rng, phases)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        x, y = fam.sample(rng, phases)
     if not np.isfinite(x).all():
         raise ConfigError(f"{fam.name} parameters {fam.params()} overflow to non-finite features")
     rows = x.tolist()

@@ -154,12 +154,11 @@ class HybridRunner:
     ``self_labeled`` counters and the signals informed self-labeling reads.
 
     Build one straight from parts for white-box tests, or through
-    :func:`build_runner` to resolve a :class:`HybridConfig`.
+    :func:`build_runner` to resolve a :class:`HybridConfig`, which owns
+    the setting checks.
     """
 
     def __init__(self, schema, learner, active, self_label, budget, window=HybridConfig.window):
-        if not 0.0 <= budget <= 1.0:
-            raise ConfigError("budget must lie in [0, 1]")
         self.schema = schema
         self.learner = learner
         self.active = active

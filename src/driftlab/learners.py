@@ -1,7 +1,8 @@
-"""Online classifiers sharing one predict/train/reset contract.
+"""Online classifiers sharing one predict/train contract.
 
-All three learners consume schema-conformant instances and emit
-:class:`~driftlab.core.ClassPosterior` predictions. ``predict`` never
+All three learners consume schema-conformant instances:
+``predict(features)`` returns a :class:`~driftlab.core.ClassPosterior`
+and ``train(features, label)`` takes a class index. ``predict`` never
 mutates state, and an untrained learner always answers with the exact
 uniform distribution. Likelihood math runs in log space throughout.
 """
@@ -78,12 +79,8 @@ class NaiveBayes:
             i for i, a in enumerate(schema.attributes) if a.kind == NOMINAL
         )
         self._cards = {i: schema.attributes[i].cardinality for i in self._nominal}
-        self._class_count = schema.class_count
-        self.reset()
-
-    def reset(self):
-        c = self.schema.class_count
-        d = self.schema.n_attributes
+        self._class_count = c = schema.class_count
+        d = schema.n_attributes
         self.class_counts = [0] * c
         self.trained = 0
         self._log_prior = [0.0] * c
@@ -104,7 +101,6 @@ class NaiveBayes:
             }
             for _ in range(c)
         ]
-        return self
 
     def train(self, features, label):
         """Add one instance: :meth:`_count` then :meth:`_derive`, in one pass."""
@@ -249,7 +245,7 @@ class NaiveBayes:
         if self.trained == 0:
             return ClassPosterior.uniform(self._class_count)
         try:
-            return ClassPosterior.trusted(self.predict_probs(features))
+            return ClassPosterior(self.predict_probs(features))
         except InvalidPosterior as exc:
             _name_overflow(exc, (self,), features)
             raise
@@ -434,13 +430,9 @@ class HoeffdingTree:
         self.grace_period = int(grace_period)
         self.split_confidence = float(split_confidence)
         self.tie_threshold = float(tie_threshold)
-        self.reset()
-
-    def reset(self):
-        self._range = math.log2(self.schema.class_count)
+        self._range = math.log2(schema.class_count)
         self._root = self._new_leaf()
         self.n_splits = 0
-        return self
 
     def _new_leaf(self) -> _Leaf:
         return _Leaf(NaiveBayes(self.schema))
@@ -716,9 +708,9 @@ class AccuracyWeightedEnsemble:
     prediction reads (those with non-zero weight, or all of them when
     every weight is zero) are kept, so a prediction scores every member
     in one stacked pass. Both passes are bit-identical to scoring each
-    member in turn. The prediction stack is rebuilt on ``reset``, at
-    every chunk close and whenever ``members`` is assigned; assign a new
-    list rather than editing it in place.
+    member in turn. The prediction stack is rebuilt at every chunk close
+    and whenever ``members`` is assigned; assign a new list rather than
+    editing it in place.
 
     The newest member is weighted on the chunk it was just trained on,
     which favours it; Wang et al. (KDD 2003) estimate that member's
@@ -738,12 +730,8 @@ class AccuracyWeightedEnsemble:
         self.schema = schema
         self.chunk_size = int(chunk_size)
         self.capacity = int(capacity)
-        self.reset()
-
-    def reset(self):
         self.members = []
         self._buffer = []
-        return self
 
     @property
     def members(self):
@@ -842,7 +830,7 @@ class AccuracyWeightedEnsemble:
         if not self._members:
             return ClassPosterior.uniform(self.schema.class_count)
         try:
-            return ClassPosterior.trusted(self.predict_probs(features))
+            return ClassPosterior(self.predict_probs(features))
         except InvalidPosterior as exc:
             _name_overflow(exc, [m for m, _ in self._members], features)
             raise

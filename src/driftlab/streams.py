@@ -79,15 +79,14 @@ def _is_header_row(row) -> bool:
     return True
 
 
-def read_csv(path, has_header="auto", name=None) -> LoadedStream:
+def read_csv(path, name=None) -> LoadedStream:
     """Read a comma-separated numeric stream; the last column is the class label.
 
     Every attribute is numeric: blank, ``?``, unparseable and non-finite
     cells become missing. Class names are registered in order of first
     appearance; a blank or ``?`` class cell is an error. Nominal attributes come from ARFF (:func:`read_arff`).
-    ``has_header`` may be True, False, or "auto" (the first row is a
-    header when none of its cells parses as a number). Errors name the
-    file line.
+    The first row is a header when none of its cells parses as a number.
+    Errors name the file line.
     """
     instances = []
     class_ids: dict[str, int] = {}
@@ -99,9 +98,7 @@ def read_csv(path, has_header="auto", name=None) -> LoadedStream:
             if not row:
                 continue
             if n_fields is None:
-                if header_names is None and (
-                    has_header is True or (has_header == "auto" and _is_header_row(row))
-                ):
+                if header_names is None and _is_header_row(row):
                     header_names = [c.strip() for c in row]
                     continue
                 n_fields = len(row)

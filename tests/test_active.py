@@ -69,12 +69,6 @@ class TestRandomQuery:
         for _ in range(200):
             assert a.decide(posterior(0.99)).query == b.decide(posterior(0.51)).query
 
-    def test_budget_out_of_range(self):
-        with pytest.raises(ConfigError):
-            RandomQuery(-0.1)
-        with pytest.raises(ConfigError):
-            RandomQuery(1.5)
-
     def test_publishes_no_adaptive_threshold(self):
         assert RandomQuery(0.1).adaptive_threshold is None
 

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from driftlab.cli import build_parser, main
+from driftlab.experiments import GridSpec
 from driftlab.hybrid import StepRecord
 from driftlab.streams import parse_stream_spec
 
@@ -63,8 +64,14 @@ class TestRun:
         code = run_cli("run", "--stream", TINY, "--al", "random", "--sl", "invunc")
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: --learner/--al/--sl/--budget:")
+        assert err.startswith("error: --learner/--al/--sl/--budget/--window:")
         assert "invunc" in err
+
+    def test_window_below_one_names_the_window_flag(self, capsys):
+        assert run_cli("run", "--stream", TINY, "--window", "0") == 2
+        assert capsys.readouterr().err == (
+            "error: --learner/--al/--sl/--budget/--window: window must be at least 1\n"
+        )
 
     def test_missing_stream_file_is_io_error(self, capsys, tmp_path):
         missing = tmp_path / "absent.csv"
@@ -188,7 +195,11 @@ class TestCompare:
     def test_unknown_strategy_names_flags(self, capsys):
         code = run_cli("compare", "--streams", TINY, "--sl", "oracle")
         assert code == 2
-        assert "--learners/--al/--sl/--budgets/--window:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--learners/--al/--sl/--budgets/--window:" in err
+        # only the policies compare accepts are offered: no 'none'
+        assert "'oracle'" in err
+        assert err.rpartition("choose from ")[2].strip().split(", ") == list(GridSpec.self_label)
 
     def test_window_below_one_fails_before_any_run(self, capsys):
         # compare used to run every cell, record each as failed and exit 0

@@ -283,14 +283,6 @@ class TestEddm:
         det.similarity()
         assert (det._mean, det._m2, det.error_count, det._since) == before
 
-    def test_reset_restores_initial_state(self):
-        det = EddmDetector()
-        feed(det, [True] * 40)
-        det.reset()
-        assert det.similarity() == 1.0
-        assert det.error_count == 0
-        assert det.level == STABLE
-
 
 class TestWindowedErrorRate:
     """The runner's error window that feeds ``winerr``: a
@@ -328,12 +320,6 @@ class TestWindowedErrorRate:
     def test_window_must_be_positive(self):
         with pytest.raises(ConfigError):
             PrequentialWindow(window=0)
-
-    def test_reset(self):
-        w = PrequentialWindow(window=5)
-        w.update(True)
-        w.reset()
-        assert w.error_rate() == 0.0
 
 
 @settings(max_examples=40, deadline=None)

@@ -33,7 +33,6 @@ class TestPrequentialWindow:
         win = PrequentialWindow(1000)
         assert win.error_rate() == 0.0
         assert win.accuracy() == 1.0
-        assert len(win) == 0
 
     def test_partial_fill_divides_by_count(self):
         win = PrequentialWindow(window=1000)
@@ -64,18 +63,12 @@ class TestPrequentialWindow:
         for loss in (2, -1, 0.7, 1.9, math.nan):
             with pytest.raises(ValueError):
                 win.update(loss)
-        assert len(win) == 0
+        win.update(1)  # the window holds this loss alone
+        assert win.error_rate() == 1.0
 
     def test_window_validation(self):
         with pytest.raises(ConfigError):
             PrequentialWindow(window=0)
-
-    def test_reset(self):
-        win = PrequentialWindow(window=4)
-        win.update(1)
-        assert win.reset() is win
-        assert win.error_rate() == 0.0
-        assert len(win) == 0
 
     @given(
         st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=300),

@@ -3,7 +3,7 @@ import pytest
 from driftlab import experiments
 from driftlab.core import ConfigError
 from driftlab.evaluation import ComparisonReport
-from driftlab.experiments import GridSpec, grid_rows, resolve_jobs, run_grid
+from driftlab.experiments import GridSpec, resolve_jobs, run_grid
 from driftlab.hybrid import HybridConfig, run_stream
 from driftlab.streams import parse_stream_spec
 
@@ -50,7 +50,7 @@ class TestGridSpec:
         assert first.name == "gaussian-clusters-sudden-60-seed=1"
         assert second.name == "gaussian-clusters-sudden-60-seed=2"
         spec = GridSpec(streams=(first, second), active=("random",), self_label=())
-        assert [row.stream for row in grid_rows(spec)] == [first] * 5 + [second] * 5
+        assert [row.stream for row in spec.rows] == [first] * 5 + [second] * 5
 
     def test_equal_names_are_rejected(self):
         with pytest.raises(ConfigError, match="name="):
@@ -65,7 +65,7 @@ class TestGridRows:
             budgets=(0.1, 0.5),
             seeds=(0, 1, 2),
         )
-        rows = grid_rows(spec)
+        rows = spec.rows
         assert len(rows) == 12  # 2 streams x 1 learner x 2 budgets x 3 query rows
         assert all(row.config.self_label == "none" for row in rows)
         assert all(row.config.seed == HybridConfig.seed for row in rows)
@@ -76,10 +76,20 @@ class TestGridRows:
             self_label=("fixed", "cddm"),
             budgets=(0.2,),
         )
-        rows = grid_rows(spec)
+        rows = spec.rows
         labels = [row.strategy for row in rows]
         assert labels == ["random", "sampling", "randvar", "randvar+fixed", "randvar+cddm"]
         assert rows[-1].config == HybridConfig("nb", "randvar", "cddm", 0.2)
+
+    def test_run_grid_reads_the_rows_the_spec_built(self, monkeypatch):
+        spec = GridSpec(streams=(tiny_stream(),), active=("random",), self_label=(), budgets=(0.2,))
+
+        def rebuilt(spec):
+            raise AssertionError("run_grid rebuilt the rows")
+
+        monkeypatch.setattr(experiments, "grid_rows", rebuilt)
+        report = run_grid(spec)
+        assert [cell.strategy for cell in report.cells] == ["random"]
 
 
 class TestResolveJobs:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,11 @@ from driftlab.generators import (
     make_family,
 )
 from driftlab.streams import parse_stream_spec
+
+
+def pairs(instances):
+    """Instances as (features, label) pairs, which compare by value."""
+    return [(inst.features, inst.label) for inst in instances]
 
 
 class TestDriftProfile:
@@ -245,8 +251,15 @@ def test_non_finite_gaussian_parameters_are_config_errors(setting):
 
 def test_parameters_that_overflow_the_features_are_config_errors():
     with pytest.raises(ConfigError, match="non-finite features"):
-        with np.errstate(over="ignore"):
-            gen_drift_stream(DriftProfile("sudden"), "gaussian-clusters", 50, seed=0, spread=1e308)
+        gen_drift_stream(DriftProfile("sudden"), "gaussian-clusters", 50, seed=0, spread=1e308)
+
+
+def test_driftlab_run_reports_a_feature_overflow_without_a_numpy_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--stream", "gen:n=300,seed=1,spread=1e308"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflow to non-finite features" in err
 
 
 def test_driftlab_run_rejects_a_non_finite_generator_parameter(capsys):
@@ -260,16 +273,16 @@ class TestGenDriftStream:
         prof = DriftProfile("gradual", (500,), width=100)
         a = gen_drift_stream(prof, "gaussian-clusters", 1000, seed=9)
         b = gen_drift_stream(prof, "gaussian-clusters", 1000, seed=9)
-        assert a.instances == b.instances
+        assert pairs(a.instances) == pairs(b.instances)
         c = gen_drift_stream(prof, "gaussian-clusters", 1000, seed=10)
-        assert a.instances != c.instances
+        assert pairs(a.instances) != pairs(c.instances)
 
     def test_length_and_schema(self):
         prof = DriftProfile("sudden", (50,))
         stream = gen_drift_stream(prof, "rotating-hyperplane", 200, seed=0, dims=3)
         assert len(stream) == 200
         assert stream.schema.n_attributes == 3
-        assert all(inst.label in (0, 1) for inst in stream)
+        assert all(inst.label in (0, 1) for inst in stream.instances)
 
     def test_metadata_records_settings(self):
         prof = DriftProfile("sudden", (50,))

@@ -147,11 +147,6 @@ class TestBudgetState:
         assert (runner.seen, runner.queried, runner.skipped) == (3, 2, 1)
         assert runner.spend == 2 / 3
 
-    def test_budget_validation(self):
-        for budget in (-0.01, 1.01):
-            with pytest.raises(ConfigError):
-                HybridRunner(SCHEMA, OracleLearner(), NeverQuery(), None, budget=budget)
-
 
 class TestHybridConfig:
     def test_registry_contents(self):
@@ -183,8 +178,9 @@ class TestHybridConfig:
         HybridConfig(learner="nb", active="randvar", self_label="invunc")
 
     def test_budget_and_window_validation(self):
-        with pytest.raises(ConfigError):
-            HybridConfig(learner="nb", active="randvar", budget=1.5)
+        for budget in (-0.1, -0.01, 1.01, 1.5):
+            with pytest.raises(ConfigError, match=r"budget must lie in \[0, 1\]"):
+                HybridConfig(learner="nb", active="randvar", budget=budget)
         with pytest.raises(ConfigError):
             HybridConfig(learner="nb", active="randvar", window=0)
 

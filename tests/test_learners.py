@@ -157,13 +157,6 @@ class TestNaiveBayes:
         b = nb.predict((2.0, 3.0)).probs
         assert a == b
 
-    def test_reset_restores_uniform(self):
-        nb = NaiveBayes(NUM2)
-        nb.train((1.0, 2.0), 0)
-        nb.reset()
-        assert nb.predict((1.0, 2.0)).probs == [0.5, 0.5]
-        assert nb.trained == 0
-
     def test_smoothing_must_be_positive(self):
         with pytest.raises(ConfigError):
             NaiveBayes(NUM2, smoothing=0.0)
@@ -300,15 +293,6 @@ class TestHoeffdingTree:
         with pytest.raises(LabelOutOfRange):
             ht.train((0.0, 0.0), 5)
 
-    def test_reset_discards_structure(self):
-        ht = HoeffdingTree(NOM1)
-        for i in range(400):
-            ht.train((i % 2,), i % 2)
-        assert ht.n_splits >= 1
-        ht.reset()
-        assert ht.n_splits == 0
-        assert ht.predict((0,)).probs == [0.5, 0.5]
-
 
 class TestHistogram:
     def test_counts_and_range(self):
@@ -434,15 +418,6 @@ class TestAccuracyWeightedEnsemble:
         awe = AccuracyWeightedEnsemble(NUM2)
         with pytest.raises(LabelOutOfRange):
             awe.train((0.0, 0.0), 9)
-
-    def test_reset_clears_members_and_buffer(self):
-        awe = AccuracyWeightedEnsemble(NUM2, chunk_size=5)
-        for i in range(7):
-            awe.train((float(i), 0.0), i % 2)
-        awe.reset()
-        assert awe.members == []
-        assert awe._buffer == []
-        assert awe.predict((0.0, 0.0)).probs == [0.5, 0.5]
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigError):
@@ -772,13 +747,6 @@ class TestStackedPredictionCases:
         assert after != before
         awe.members = [[members[0][0], 1.0], [members[0][0], 0.5]]  # duplicates
         assert assert_same_probs(awe, probe) != after
-
-    def test_reset_clears_the_stack(self):
-        awe = AccuracyWeightedEnsemble(MIXED, chunk_size=3)
-        for features, label in self._chunk(0.0):
-            awe.train(features, label)
-        awe.reset()
-        assert awe.predict_probs((2.0, 1, 1.0, 2)) == [1 / 3] * 3
 
     def test_unobserved_attribute_with_an_overflowing_value(self):
         # class 0 never saw x1, so 1e200 adds nothing to it; class 1's

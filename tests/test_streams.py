@@ -37,6 +37,11 @@ MIXED_SCHEMA = StreamSchema(
 )
 
 
+def pairs(instances):
+    """Instances as (features, label) pairs, which compare by value."""
+    return [(inst.features, inst.label) for inst in instances]
+
+
 class TestReadCsv:
     def test_missing_cells(self, tmp_path):
         p = tmp_path / "s.csv"
@@ -50,7 +55,7 @@ class TestReadCsv:
         p = tmp_path / "s.csv"
         p.write_text("1.0,2.0,go\n1.0,go\n")
         with pytest.raises(SchemaMismatch, match=":2"):
-            read_csv(p, has_header=False)
+            read_csv(p)
 
     @pytest.mark.parametrize("name", [None, "renamed"])
     def test_errors_name_file_lines_past_blank_lines(self, tmp_path, name):
@@ -83,7 +88,7 @@ class TestReadCsv:
         assert [a.name for a in schema.attributes] == ["a", "b"]
         # class indices in order of first appearance
         assert schema.class_names == ("up", "down")
-        assert [i.label for i in stream] == [0, 1, 0]
+        assert [i.label for i in stream.instances] == [0, 1, 0]
         # the unparseable cell became a missing value
         assert stream.instances[1].features == (3.5, MISSING)
 
@@ -101,15 +106,6 @@ class TestReadCsv:
         stream = read_csv(p)
         assert len(stream) == 2
         assert stream.instances[0].features == (1.0, MISSING)
-
-    def test_header_forced_off(self, tmp_path):
-        # a row that would auto-detect as a header is kept as data
-        p = tmp_path / "s.csv"
-        p.write_text("a,b,class\n1.0,2.0,up\n3.0,4.0,down\n")
-        stream = read_csv(p, has_header=False)
-        assert len(stream) == 3
-        assert stream.schema.class_names == ("class", "up", "down")
-        assert stream.instances[0].features == (MISSING, MISSING)
 
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "s.csv"
@@ -161,9 +157,9 @@ class TestWriteCsv:
         write_csv(p, stream)
         back = read_csv(p)
         # inferred class order follows first appearance, so compare by name
-        assert [i.features for i in back] == [i.features for i in stream]
-        assert [back.schema.class_names[i.label] for i in back] == [
-            stream.schema.class_names[i.label] for i in stream
+        assert [i.features for i in back.instances] == [i.features for i in stream.instances]
+        assert [back.schema.class_names[i.label] for i in back.instances] == [
+            stream.schema.class_names[i.label] for i in stream.instances
         ]
 
 
@@ -191,9 +187,9 @@ def test_csv_round_trip_property(tmp_path_factory, rows):
     p = tmp_path_factory.mktemp("rt") / "x.csv"
     write_csv(p, stream)
     back = read_csv(p)
-    assert [i.features for i in back] == [i.features for i in instances]
+    assert [i.features for i in back.instances] == [i.features for i in instances]
     # classes are numbered in order of first appearance, so compare names
-    assert [back.schema.class_names[i.label] for i in back] == [
+    assert [back.schema.class_names[i.label] for i in back.instances] == [
         schema.class_names[i.label] for i in instances
     ]
 
@@ -220,10 +216,10 @@ class TestReadArff:
         assert stream.name == "weather"
         assert stream.schema.class_names == ("stay", "go")
         assert stream.schema.attributes[1].values == ("clear", "cloudy")
-        assert stream.instances == [
-            Instance((21.5, 0), label=1),
-            Instance((MISSING, 1), label=0),
-            Instance((3.0, MISSING), label=1),
+        assert pairs(stream.instances) == [
+            ((21.5, 0), 1),
+            ((MISSING, 1), 0),
+            ((3.0, MISSING), 1),
         ]
 
     def test_integer_and_real_types(self, tmp_path):
@@ -244,7 +240,7 @@ class TestReadArff:
         stream = read_arff(p)
         assert stream.name == "my stream"
         assert stream.schema.attributes[0].name == "the temp"
-        assert [i.label for i in stream] == [0, 1]
+        assert [i.label for i in stream.instances] == [0, 1]
 
     def test_missing_relation(self, tmp_path):
         p = tmp_path / "w.arff"
@@ -356,7 +352,7 @@ class TestStreamSpec:
         spec = parse_stream_spec("gen:family=sea-like-thresholds,kind=sudden,n=50,changes=25,seed=3")
         a = spec.load()
         b = spec.load()
-        assert a.instances == b.instances
+        assert pairs(a.instances) == pairs(b.instances)
         assert len(a) == 50
         assert a.metadata["change_points"] == [25]
 
@@ -364,10 +360,10 @@ class TestStreamSpec:
         spec = parse_stream_spec("gen:n=30")
         a = spec.load(seed_fallback=1)
         b = spec.load(seed_fallback=2)
-        assert a.instances != b.instances
+        assert pairs(a.instances) != pairs(b.instances)
         # an explicit seed pins the stream regardless of the fallback
         pinned = parse_stream_spec("gen:n=30,seed=5")
-        assert pinned.load(seed_fallback=1).instances == pinned.load(seed_fallback=2).instances
+        assert pairs(pinned.load(seed_fallback=1).instances) == pairs(pinned.load(seed_fallback=2).instances)
 
     def test_generator_spec_multiple_changes(self):
         spec = parse_stream_spec("gen:kind=gradual,n=100,changes=20|60,width=10,seed=1")
@@ -443,4 +439,4 @@ class TestStreamSpec:
         spec = parse_stream_spec("gen:n=10,seed=1")
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
-        assert clone.load().instances == spec.load().instances
+        assert pairs(clone.load().instances) == pairs(spec.load().instances)
