@@ -6,7 +6,7 @@ with one self-labeling policy. Every row runs once per seed and per
 budget; seed results average into one cell. Cells run independently,
 optionally across processes, and a failed cell is reported inside the
 result table instead of aborting the sweep; only a stream file that
-cannot be read ends it.
+cannot be read, or a setting no run can take, ends it.
 """
 
 from __future__ import annotations
@@ -118,14 +118,16 @@ def _load_stream(spec: StreamSpec, seed: int):
 def _run_cell(task):
     """One (row, seed) run; returns accuracy and spend or an error.
 
-    An unreadable stream file ends the sweep, as it ends ``run``.
+    A stream file that cannot be read (``OSError``) or a setting no run
+    can take (``ConfigError``, such as a ``gen:`` spec whose features
+    overflow when it generates) ends the sweep, as it ends ``run``.
     """
     row, seed = task
     try:
         stream = _load_stream(row.stream, seed)
         _, summary = run_stream(stream, replace(row.config, seed=seed))
         return (summary.accuracy, summary.final_spend, None)
-    except OSError:
+    except (OSError, ConfigError):
         raise
     except Exception as exc:  # cell failures land in the report
         return (0.0, 0.0, f"{type(exc).__name__}: {exc}")

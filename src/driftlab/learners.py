@@ -272,8 +272,8 @@ class _Histogram:
     When a value lands outside the current range the bins are stretched
     to cover it, redistributing old counts proportionally by overlap, so
     memory stays constant no matter the value range. Counts become
-    fractional after a stretch; cumulative queries interpolate linearly
-    inside the straddled bin.
+    fractional after a stretch; split scans (:func:`_left_counts`)
+    interpolate linearly inside the straddled bin.
     """
 
     __slots__ = ("bins", "lo", "hi", "n")
@@ -330,7 +330,9 @@ class _Histogram:
                 while m < nbins:
                     seg_lo = new_lo + m * new_w
                     seg_hi = seg_lo + new_w
-                    overlap = min(b, seg_hi) - max(a, seg_lo)
+                    # conditional expressions pick what min/max would, at a
+                    # fraction of the call cost in this innermost loop
+                    overlap = (seg_hi if seg_hi < b else b) - (seg_lo if seg_lo > a else a)
                     if overlap > 0.0:
                         fresh[m] += cnt * overlap / old_w
                     if seg_hi >= b:
@@ -339,25 +341,6 @@ class _Histogram:
         self.bins = fresh
         self.lo = new_lo
         self.hi = new_hi
-
-    def cumulative(self) -> list:
-        out = [0.0] * (self.NBINS + 1)
-        acc = 0.0
-        for k, cnt in enumerate(self.bins):
-            acc += cnt
-            out[k + 1] = acc
-        return out
-
-    def count_le(self, x, prefix) -> float:
-        """Observations with value <= x, given this histogram's prefix sums."""
-        if self.n == 0 or x < self.lo:
-            return 0.0
-        if x >= self.hi:
-            return float(self.n)
-        pos = (x - self.lo) / (self.hi - self.lo) * self.NBINS
-        # x < hi can still round to pos == NBINS when hi - lo dwarfs hi - x
-        full = min(int(pos), self.NBINS - 1)
-        return prefix[full] + self.bins[full] * (pos - full)
 
 
 def _entropy(counts, total) -> float:
@@ -369,6 +352,104 @@ def _entropy(counts, total) -> float:
             p = v / total
             h -= p * math.log2(p)
     return h
+
+
+# A class with no histogram of an attribute: every cut counts 0 below it.
+_ABSENT = _Histogram()
+_ABSENT.lo, _ABSENT.hi = math.inf, -math.inf
+
+# The interior cut points k / NBINS of a range, k = 1 .. NBINS - 1.
+_CUTS = np.arange(1, _Histogram.NBINS, dtype=float)
+
+
+def _left_counts(bins, lo, hi, n, cuts):
+    """Observations at or below each cut, per histogram.
+
+    ``bins`` is ``(..., NBINS)`` and ``lo``, ``hi`` and ``n`` are
+    ``(..., 1)``, one histogram per leading index; ``cuts`` broadcasts
+    against them. A cut inside a histogram's range counts the bins below
+    it plus the straddled bin's share, linear in the cut's position in
+    it. Run under ``np.errstate(all="ignore")``: positions of cuts
+    outside a range are computed, then discarded.
+    """
+    nbins = bins.shape[-1]
+    below = cuts < lo
+    above = cuts >= hi
+    pos = np.where(below | above, 0.0, (cuts - lo) / (hi - lo) * nbins)
+    # a cut below hi can still round to pos == NBINS when hi - lo dwarfs hi - cut
+    full = np.minimum(np.floor(pos), nbins - 1)
+    index = full.astype(np.intp)
+    prefix = np.zeros_like(bins)
+    np.cumsum(bins[..., :-1], axis=-1, out=prefix[..., 1:])
+    inside = (
+        np.take_along_axis(prefix, index, -1)
+        + np.take_along_axis(bins, index, -1) * (pos - full)
+    )
+    return np.where(below, 0.0, np.where(above, n, inside))
+
+
+def _entropies(counts, totals, keep):
+    """:func:`_entropy` of every column of ``counts`` (class rows first)
+    where ``keep`` holds, and 0 elsewhere.
+
+    Bit-identical to the scalar loop: the class terms are subtracted one
+    row at a time, in class order, and the logs come from ``math.log2``,
+    which ``np.log2`` can miss by an ulp.
+    """
+    p = counts / totals
+    positive = (counts > 0.0) & keep
+    terms = np.zeros_like(p)
+    picked = p[positive]
+    terms[positive] = picked * np.fromiter(map(math.log2, picked.tolist()), float, picked.size)
+    h = np.zeros_like(totals)
+    for row in terms:
+        h = h - row
+    return h
+
+
+def _numeric_gains(hists) -> dict:
+    """Best cut of every numeric attribute of a leaf, by information gain.
+
+    ``hists`` maps an attribute to its per-class histograms (None for a
+    class that has shown no value of it). The candidates are the
+    ``NBINS - 1`` interior cut points of the classes' merged range, and
+    one array pass over (class, attribute, cut) scores them all. Returns
+    ``{attribute: (gain, threshold)}`` for every attribute with a cut
+    that leaves mass on both sides, the first cut of the highest gain.
+    The result is bit-identical to scoring one cut at a time in scalar
+    floats.
+    """
+    if not hists:
+        return {}
+    # (attribute, class, ...) lists, read as (class, attribute, ...) arrays
+    rows = [[_ABSENT if h is None else h for h in per_class] for per_class in hists.values()]
+    stats = np.array([[(h.lo, h.hi, h.n) for h in row] for row in rows], dtype=float)
+    bins = np.array([[h.bins for h in row] for row in rows]).transpose(1, 0, 2)
+    lo_c, hi_c, n_c = stats.T[..., None]
+    lo = lo_c.min(axis=0)
+    hi = hi_c.max(axis=0)
+    with np.errstate(all="ignore"):  # e.g. span * k overflows to inf, as floats do silently
+        n = sum(n_c)  # class rows in order, as the scalar loop adds them
+        parent = _entropies(n_c, n, True)
+        cuts = lo + (hi - lo) * _CUTS / _Histogram.NBINS
+        left = _left_counts(bins, lo_c, hi_c, n_c, cuts)
+        nl = sum(left)
+        nr = n - nl
+        split = (nl > 0.0) & (nr > 0.0)
+        gain = (
+            parent
+            - nl / n * _entropies(left, nl, split)
+            - nr / n * _entropies(n_c - left, nr, split)
+        )
+        # the first cut of the highest gain wins, if that gain beats -1.0;
+        # NaN never does
+        score = np.where(split & (gain > -1.0), gain, -math.inf)
+    best = score.argmax(axis=1)
+    return {
+        j: (float(gain[a, k]), float(cuts[a, k]))
+        for a, (j, k) in enumerate(zip(hists, best))
+        if score[a, k] > -math.inf
+    }
 
 
 class _Leaf:
@@ -408,9 +489,11 @@ class HoeffdingTree:
     the Hoeffding radius at range log2(classes), or when the radius has
     shrunk under ``tie_threshold`` (only ever for a strictly positive
     gain, so a single-class leaf never splits). Numeric candidates are
-    the 63 interior cut points of the classes' merged histogram range;
-    nominal attributes split multiway. Missing values route left (child
-    0). Every attribute is a split candidate.
+    the 63 interior cut points of the classes' merged histogram range,
+    scored for every numeric attribute in one array pass per split
+    attempt (:func:`_numeric_gains`); nominal attributes split multiway.
+    Missing values route left (child 0). Every attribute is a split
+    candidate.
     """
 
     def __init__(
@@ -491,57 +574,6 @@ class HoeffdingTree:
                 gain -= value_totals[v] / n * _entropy(value_counts[v], value_totals[v])
         return gain, None
 
-    def _numeric_gain(self, leaf, j):
-        per_class = leaf.hists.get(j)
-        if per_class is None:
-            return None
-        c = self.schema.class_count
-        lo = math.inf
-        hi = -math.inf
-        totals = [0.0] * c
-        for y in range(c):
-            hist = per_class[y]
-            if hist is None or hist.n == 0:
-                continue
-            lo = min(lo, hist.lo)
-            hi = max(hi, hist.hi)
-            totals[y] = float(hist.n)
-        n = sum(totals)
-        if n <= 0.0 or hi <= lo:
-            return None
-        prefixes = [h.cumulative() if h is not None else None for h in per_class]
-        parent_h = _entropy(totals, n)
-        nbins = _Histogram.NBINS
-        best_gain = -1.0
-        best_t = None
-        span = hi - lo
-        for k in range(1, nbins):
-            t = lo + span * k / nbins
-            left = [0.0] * c
-            nl = 0.0
-            for y in range(c):
-                hist = per_class[y]
-                if hist is None:
-                    continue
-                cnt = hist.count_le(t, prefixes[y])
-                left[y] = cnt
-                nl += cnt
-            nr = n - nl
-            if nl <= 0.0 or nr <= 0.0:
-                continue
-            right = [totals[y] - left[y] for y in range(c)]
-            gain = (
-                parent_h
-                - nl / n * _entropy(left, nl)
-                - nr / n * _entropy(right, nr)
-            )
-            if gain > best_gain:
-                best_gain = gain
-                best_t = t
-        if best_t is None:
-            return None
-        return best_gain, best_t
-
     def _try_split(self, leaf, parent, slot):
         n = leaf.nb.trained
         if n < 1:
@@ -550,11 +582,12 @@ class HoeffdingTree:
         second_gain = 0.0
         best_attr = None
         best_threshold = None
+        numeric = _numeric_gains(leaf.hists)
         for j, attr in enumerate(self.schema.attributes):
             if attr.kind == NOMINAL:
                 result = self._nominal_gain(leaf, j)
             else:
-                result = self._numeric_gain(leaf, j)
+                result = numeric.get(j)
             if result is None:
                 continue
             gain, threshold = result

@@ -240,6 +240,24 @@ class TestCompare:
             assert captured.err == f"error: {message}\n"
             assert captured.out == ""
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_generator_spec_that_overflows_when_it_generates_ends_the_sweep(self, jobs, capsys):
+        # the parse-time checks pass; compare used to record every cell as
+        # failed and exit 0, where run exits 2
+        spec = "gen:n=300,seed=1,spread=1e308"
+        message = (
+            "error: gaussian-clusters parameters {'classes': 2, 'dims': 2, 'radius': 3.0,"
+            " 'spread': 1e+308, 'rotation': 0.8} overflow to non-finite features\n"
+        )
+        for argv in (
+            ("compare", "--streams", TINY, spec, "--sl", "fixed", "--budgets", "0.1", "--jobs", jobs),
+            ("run", "--stream", spec),
+        ):
+            assert run_cli(*argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == message
+            assert captured.out == ""
+
 
 class TestGenerate:
     def test_writes_csv_and_sidecar(self, capsys, tmp_path):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftlab.core import (
@@ -316,26 +316,25 @@ class TestHistogram:
         assert sum(h.bins) == pytest.approx(501.0)
         assert h.n == 501
 
-    def test_count_le_interpolates(self):
+    def test_left_counts_interpolate(self):
         from driftlab.learners import _Histogram
 
         h = _Histogram()
         for v in np.linspace(0.0, 64.0, 1000):
             h.add(float(v))
-        pref = h.cumulative()
-        assert h.count_le(-1.0, pref) == 0.0
-        assert h.count_le(64.0, pref) == 1000.0
-        assert h.count_le(32.0, pref) == pytest.approx(500.0, abs=10.0)
+        below, at_hi, middle = left_counts(h, (-1.0, 64.0, 32.0))
+        assert below == 0.0
+        assert at_hi == 1000.0
+        assert middle == pytest.approx(500.0, abs=10.0)
 
-    def test_count_le_just_below_hi(self):
+    def test_left_count_just_below_hi(self):
         from driftlab.learners import _Histogram
 
         # (0 - lo) / (hi - lo) rounds to exactly 1.0, one past the last bin
         h = _Histogram()
         h.add(1.1754943508222875e-38)
         h.add(-1.0)
-        assert h.count_le(0.0, h.cumulative()) == pytest.approx(2.0)
-
+        assert left_counts(h, (0.0,)) == [pytest.approx(2.0)]
 
     def test_range_wider_than_the_largest_float_is_a_domain_error(self):
         # the bin position would be inf / inf; it used to end in a bare
@@ -345,6 +344,165 @@ class TestHistogram:
         ht.train((None,), 1)
         with pytest.raises(DomainError, match="largest float"):
             ht.train((1.7e308,), 0)
+
+
+def left_counts(hist, cuts):
+    """The array pass's left counts of one histogram at ``cuts``."""
+    from driftlab.learners import _left_counts
+
+    with np.errstate(all="ignore"):
+        left = _left_counts(
+            np.array(hist.bins), np.array([hist.lo]), np.array([hist.hi]), float(hist.n), np.array(cuts)
+        )
+    return left.tolist()
+
+
+# The scalar split scan that the array pass (_numeric_gains) replaced,
+# kept verbatim as its reference: the pass must match it bit for bit.
+
+
+def reference_cumulative(hist) -> list:
+    out = [0.0] * (hist.NBINS + 1)
+    acc = 0.0
+    for k, cnt in enumerate(hist.bins):
+        acc += cnt
+        out[k + 1] = acc
+    return out
+
+
+def reference_count_le(hist, x, prefix) -> float:
+    """Observations with value <= x, given this histogram's prefix sums."""
+    if hist.n == 0 or x < hist.lo:
+        return 0.0
+    if x >= hist.hi:
+        return float(hist.n)
+    pos = (x - hist.lo) / (hist.hi - hist.lo) * hist.NBINS
+    # x < hi can still round to pos == NBINS when hi - lo dwarfs hi - x
+    full = min(int(pos), hist.NBINS - 1)
+    return prefix[full] + hist.bins[full] * (pos - full)
+
+
+def reference_numeric_gain(per_class):
+    from driftlab.learners import _entropy, _Histogram
+
+    c = len(per_class)
+    lo = math.inf
+    hi = -math.inf
+    totals = [0.0] * c
+    for y in range(c):
+        hist = per_class[y]
+        if hist is None or hist.n == 0:
+            continue
+        lo = min(lo, hist.lo)
+        hi = max(hi, hist.hi)
+        totals[y] = float(hist.n)
+    n = sum(totals)
+    if n <= 0.0 or hi <= lo:
+        return None
+    prefixes = [reference_cumulative(h) if h is not None else None for h in per_class]
+    parent_h = _entropy(totals, n)
+    nbins = _Histogram.NBINS
+    best_gain = -1.0
+    best_t = None
+    span = hi - lo
+    for k in range(1, nbins):
+        t = lo + span * k / nbins
+        left = [0.0] * c
+        nl = 0.0
+        for y in range(c):
+            hist = per_class[y]
+            if hist is None:
+                continue
+            cnt = reference_count_le(hist, t, prefixes[y])
+            left[y] = cnt
+            nl += cnt
+        nr = n - nl
+        if nl <= 0.0 or nr <= 0.0:
+            continue
+        right = [totals[y] - left[y] for y in range(c)]
+        gain = (
+            parent_h
+            - nl / n * _entropy(left, nl)
+            - nr / n * _entropy(right, nr)
+        )
+        if gain > best_gain:
+            best_gain = gain
+            best_t = t
+    if best_t is None:
+        return None
+    return best_gain, best_t
+
+
+# Half the largest float: two values this far apart span 1.7e308, the
+# widest range a single histogram holds.
+HALF_MAX = 8.5e307
+
+# What one class of a generated leaf saw of one attribute: nothing (no
+# histogram), a few picked values, or (n, seed, scale) for n draws of
+# N(class, 1) * scale, whose stretched histograms hold fractional counts.
+class_values = st.one_of(
+    st.none(),
+    st.lists(
+        st.one_of(
+            st.floats(-1e6, 1e6, allow_subnormal=False),
+            st.sampled_from((0.0, -1.0, 1.0, 1.1754943508222875e-38, -HALF_MAX, HALF_MAX)),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.tuples(st.integers(1, 200), st.integers(0, 2**32 - 1), st.sampled_from((1.0, 1e-3, 1e6))),
+)
+
+
+@st.composite
+def leaf_values(draw):
+    """{attribute: one class_values entry per class}, for 2, 4 or 9
+    classes; each attribute has a histogram in at least one class."""
+    classes = draw(st.sampled_from((2, 4, 9)))
+    per_class = st.lists(class_values, min_size=classes, max_size=classes)
+    attrs = st.lists(per_class.filter(lambda entries: any(e is not None for e in entries)), min_size=1, max_size=3)
+    return dict(enumerate(draw(attrs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(leaf_values())
+# the cut at 0.0 falls just below class 0's hi, where pos rounds to NBINS
+@example({0: [[1.1754943508222875e-38, -1.0], [-1.0, 1.0]]})
+# classes with no histogram, and a single-point histogram (lo == hi)
+@example({0: [None, [2.5, 2.5, 2.5], [0.0, 1.0, 3.0], None]})
+# spans of 1.7e308, where span * k overflows to inf for the upper cuts
+@example({0: [[-HALF_MAX, 0.0], [HALF_MAX, 1.0]], 1: [[-HALF_MAX, HALF_MAX], [0.0]]})
+# np.log2 in place of math.log2 moves a bit of the best gain here
+@example({0: [(38, 190412, 1.0), (124, 341465, 1.0)]})
+@example({0: [(41, 628015, 1.0), (119, 97337, 1.0), (88, 848395, 1.0), (76, 389879, 1.0)]})
+# a pairwise sum over the 9 classes in place of row by row moves a bit here
+@example({0: [(102, 993908, 1.0), (58, 414002, 1.0), (186, 50631, 1.0), (38, 861168, 1.0),
+              (157, 98702, 1.0), (113, 611097, 1.0), (34, 953893, 1.0), (149, 225127, 1.0),
+              (29, 90122, 1.0)]})
+def test_numeric_gains_match_the_scalar_scan_bit_for_bit(leaf):
+    from driftlab.learners import _Histogram, _numeric_gains
+
+    hists = {}
+    for j, entries in leaf.items():
+        hists[j] = per_class = []
+        for y, values in enumerate(entries):
+            if values is None:
+                per_class.append(None)
+                continue
+            if isinstance(values, tuple):
+                n, seed, scale = values
+                values = (np.random.default_rng(seed).normal(y, 1.0, n) * scale).tolist()
+            hist = _Histogram()
+            for v in values:
+                hist.add(v)
+            per_class.append(hist)
+    want = {}
+    for j, per_class in hists.items():
+        result = reference_numeric_gain(per_class)
+        if result is not None:
+            want[j] = tuple(map(float.hex, result))
+    got = {j: tuple(map(float.hex, result)) for j, result in _numeric_gains(hists).items()}
+    assert got == want
 
 
 class TestAccuracyWeightedEnsemble:
@@ -863,7 +1021,7 @@ train_instance = st.tuples(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(train_instance, max_size=10), st.lists(probe_instance, min_size=1, max_size=5))
-def test_predict_matches_the_checking_constructor(training, probes):
+def test_predict_matches_a_posterior_built_from_predict_probs(training, probes):
     nb = NaiveBayes(MIXED)
     for features, label in training:
         nb.train(features, label)
@@ -876,7 +1034,7 @@ def test_predict_matches_the_checking_constructor(training, probes):
             assert got[1].startswith(expected[1] + " (numeric attribute ")
 
 
-def test_predict_raises_the_checking_error_on_nan_scores():
+def test_predict_raises_the_posterior_error_on_nan_scores():
     nb = NaiveBayes(MIXED)
     nb.train((1e200, 0, 0.0, 0), 0)
     nb.train((-1e200, 0, 0.0, 0), 0)
