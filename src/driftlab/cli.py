@@ -15,7 +15,6 @@ import sys
 from .core import ConfigError, DriftLabError
 from .experiments import GridSpec, resolve_jobs, run_grid
 from .evaluation import to_records, to_text
-from .generators import DEFAULT_FAMILY, KINDS, DriftProfile, gen_drift_stream
 from .hybrid import ACTIVE, LEARNERS, SELF_LABEL, HybridConfig, StepRecord, run_stream
 from .streams import parse_stream_spec, write_csv
 
@@ -56,7 +55,7 @@ def cmd_run(args) -> int:
             window=args.window,
         )
     except ConfigError as exc:
-        raise ConfigError(f"--learner/--al/--sl/--budget/--window: {exc}")
+        raise ConfigError(f"--learner/--al/--sl/--budget/--seed/--window: {exc}")
 
     spec = parse_stream_spec(args.stream, fmt=args.format)
     stream = spec.load(seed_fallback=config.seed)
@@ -124,27 +123,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.changes is not None:
-        try:
-            change_points = tuple(int(c) for c in _split(args.changes))
-        except ValueError:
-            raise ConfigError(f"--changes: not an integer list: {args.changes!r}")
-    else:
-        change_points = (args.n // 2,)
-    try:
-        profile = DriftProfile(args.kind, change_points, args.width, args.cycle)
-    except DriftLabError as exc:
-        raise ConfigError(f"--kind/--changes/--width: {exc}")
-    stream = gen_drift_stream(profile, args.family, args.n, seed=args.seed)
+    spec = parse_stream_spec(args.stream)
+    if spec.generator is None:
+        raise ConfigError(f"generate needs a gen: spec, got {args.stream!r}")
+    stream = spec.load()
     write_csv(args.out, stream)
     sidecar = {
-        "family": args.family,
-        "kind": args.kind,
-        "n": args.n,
-        "change_points": list(change_points),
-        "width": args.width,
-        "cycle_length": args.cycle,
-        "seed": args.seed,
+        "stream": spec.describe(),
+        "seed": stream.metadata["seed"],
         "class_names": list(stream.schema.class_names),
     }
     _write_json(args.out + ".meta.json", sidecar)
@@ -196,18 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--records-out", dest="records_out")
     compare.set_defaults(handler=cmd_compare)
 
-    generate = sub.add_parser("generate", help="write a synthetic stream")
-    generate.add_argument("--kind", required=True, choices=KINDS)
-    generate.add_argument("--family", default=DEFAULT_FAMILY)
-    generate.add_argument("--n", type=int, required=True)
-    generate.add_argument("--seed", type=int, default=0)
-    generate.add_argument("--out", required=True)
-    generate.add_argument("--changes", help="comma list (default: one at n/2)")
+    generate = sub.add_parser("generate", help="write a gen: spec's stream as CSV, with a .meta.json sidecar")
     generate.add_argument(
-        "--width", type=int, default=DriftProfile.width,
-        help="transition width; gradual, incremental and recurring drift need >= 1",
+        "--stream",
+        required=True,
+        help="gen: spec, as run and compare take it; changes= is |-separated (default: no change),"
+        " and gradual, incremental and recurring drift need width= >= 1",
     )
-    generate.add_argument("--cycle", type=int, default=DriftProfile.cycle_length)
+    generate.add_argument("--out", required=True)
     generate.set_defaults(handler=cmd_generate)
     return parser
 

@@ -106,7 +106,7 @@ def _load_stream(spec: StreamSpec, seed: int):
     # keyed on the full description, since display names can collide;
     # generator specs without a pinned seed produce one stream per run
     # seed, everything else is shared across the grid
-    pinned = spec.generator is None or spec.generator.get("seed") is not None
+    pinned = spec.generator is None or spec.generator["seed"] is not None
     key = (json.dumps(spec.describe(), sort_keys=True), None if pinned else seed)
     stream = _stream_cache.get(key)
     if stream is None:

@@ -305,12 +305,14 @@ def make_family(family: str, **params):
         raise ConfigError(f"bad parameters for family {family!r}: {exc}") from None
 
 
-def checked_family(profile: DriftProfile, family: str, n: int, **family_params):
+def checked_family(profile: DriftProfile, family: str, n: int, seed, **family_params):
     """The concept family of an ``n``-instance stream under ``profile``,
-    built once the length, the family with its parameters and the
-    profile's fit to the length are checked."""
+    built once the length, the seed (None when unset), the family with
+    its parameters and the profile's fit to the length are checked."""
     if n < 1:
         raise ConfigError("stream length must be at least 1")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"generator seed must be at least 0, got {seed}")
     fam = make_family(family, **family_params)
     profile.validate_length(n)
     return fam
@@ -322,7 +324,7 @@ def gen_drift_stream(profile: DriftProfile, family, n: int, seed, name=None, **f
     Deterministic for fixed (profile, family, params, n, seed): calling
     twice yields identical instances.
     """
-    fam = checked_family(profile, family, n, **family_params)
+    fam = checked_family(profile, family, n, seed, **family_params)
     rng = np.random.default_rng(seed)
     phases = profile.concept_phases(n, rng)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it

@@ -100,6 +100,8 @@ class HybridConfig:
             raise ConfigError("budget must lie in [0, 1]")
         if self.window < 1:
             raise ConfigError("window must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be at least 0")
         if self.self_label == "invunc" and self.active != "randvar":
             raise ConfigError(
                 "self_label 'invunc' needs the adaptive threshold that only"

@@ -417,7 +417,8 @@ def _numeric_gains(hists) -> dict:
     ``{attribute: (gain, threshold)}`` for every attribute with a cut
     that leaves mass on both sides, the first cut of the highest gain.
     The result is bit-identical to scoring one cut at a time in scalar
-    floats.
+    floats. A merged range wider than the largest float raises
+    :class:`DomainError`.
     """
     if not hists:
         return {}
@@ -429,9 +430,14 @@ def _numeric_gains(hists) -> dict:
     lo = lo_c.min(axis=0)
     hi = hi_c.max(axis=0)
     with np.errstate(all="ignore"):  # e.g. span * k overflows to inf, as floats do silently
+        span = hi - lo
+        wide = span[:, 0] == math.inf
+        if wide.any():  # every cut would be inf; _Histogram._stretch rejects such a range too
+            a = wide.argmax()
+            raise DomainError(f"feature values {float(lo[a, 0])!r} to {float(hi[a, 0])!r} span more than the largest float")
         n = sum(n_c)  # class rows in order, as the scalar loop adds them
         parent = _entropies(n_c, n, True)
-        cuts = lo + (hi - lo) * _CUTS / _Histogram.NBINS
+        cuts = lo + span * _CUTS / _Histogram.NBINS
         left = _left_counts(bins, lo_c, hi_c, n_c, cuts)
         nl = sum(left)
         nr = n - nl

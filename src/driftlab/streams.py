@@ -314,8 +314,9 @@ def _profile(g) -> DriftProfile:
     return DriftProfile(g["kind"], tuple(g["change_points"]), g["width"], g["cycle_length"])
 
 
-_GEN_INT_KEYS = {"n", "width", "seed", "classes", "dims", "cycle"}
-_GEN_FLOAT_KEYS = {"radius", "spread", "rotation", "noise"}
+_GEN_INT_KEYS = {"n", "width", "seed"}
+# the family parameters, each with its type
+_GEN_PARAMS = dict(classes=int, dims=int, radius=float, spread=float, rotation=float, noise=float)
 
 
 def parse_stream_spec(text, fmt=None) -> StreamSpec:
@@ -329,9 +330,9 @@ def parse_stream_spec(text, fmt=None) -> StreamSpec:
     dims, radius, spread, rotation, noise. Without ``name``, the stream
     is named ``<family>-<kind>-<n>`` followed by ``-key=value`` for each
     other key, in the order written. The drift profile, the stream
-    length and the family with its parameters are checked here, by the
-    generator's own code. Anything else is a path to a stream file; its
-    format comes from ``fmt`` or the file extension.
+    length, the seed and the family with its parameters are checked
+    here, by the generator's own code. Anything else is a path to a
+    stream file; its format comes from ``fmt`` or the file extension.
     """
     if text.startswith("gen:"):
         body = text[len("gen:") :]
@@ -362,16 +363,13 @@ def parse_stream_spec(text, fmt=None) -> StreamSpec:
                     settings["cycle_length"] = int(value)
                 elif key in _GEN_INT_KEYS:
                     settings[key] = int(value)
-                elif key in _GEN_FLOAT_KEYS:
-                    params[key] = float(value)
+                elif key in _GEN_PARAMS:
+                    params[key] = _GEN_PARAMS[key](value)
                 else:
                     raise ConfigError(f"unknown generator key {key!r} in --stream")
             except ValueError:
                 raise ConfigError(f"bad value for generator key {key!r}: {value!r}") from None
         family = settings.get("family", DEFAULT_FAMILY)
-        for key in ("classes", "dims"):
-            if key in settings:
-                params[key] = settings.pop(key)
         generator = {
             "family": family,
             "kind": settings.get("kind", SUDDEN),
@@ -383,7 +381,7 @@ def parse_stream_spec(text, fmt=None) -> StreamSpec:
             "params": params,
         }
         # the generator's own checks, so a spec that cannot load fails here
-        checked_family(_profile(generator), family, generator["n"], **params)
+        checked_family(_profile(generator), family, generator["n"], generator["seed"], **params)
         if name is None:
             name = f"{family}-{generator['kind']}-{generator['n']}{suffix}"
         return StreamSpec(name=name, generator=generator)

@@ -64,14 +64,21 @@ class TestRun:
         code = run_cli("run", "--stream", TINY, "--al", "random", "--sl", "invunc")
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: --learner/--al/--sl/--budget/--window:")
+        assert err.startswith("error: --learner/--al/--sl/--budget/--seed/--window:")
         assert "invunc" in err
 
     def test_window_below_one_names_the_window_flag(self, capsys):
         assert run_cli("run", "--stream", TINY, "--window", "0") == 2
         assert capsys.readouterr().err == (
-            "error: --learner/--al/--sl/--budget/--window: window must be at least 1\n"
+            "error: --learner/--al/--sl/--budget/--seed/--window: window must be at least 1\n"
         )
+
+    def test_negative_seed_names_the_seed_flag(self, capsys):
+        # the runner's default_rng used to end this in a bare ValueError, exit 1
+        assert run_cli("run", "--stream", TINY, "--seed", "-1") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --learner/--al/--sl/--budget/--seed/--window: seed must be at least 0\n"
+        assert captured.out == ""
 
     def test_missing_stream_file_is_io_error(self, capsys, tmp_path):
         missing = tmp_path / "absent.csv"
@@ -229,8 +236,9 @@ class TestCompare:
             ("gen:n=1200,classes=1", "gaussian-clusters needs at least 2 classes"),
             ("gen:n=500,changes=600", "change point 600 outside stream of 500 instances"),
             ("gen:n=0", "stream length must be at least 1"),
+            ("gen:n=300,seed=-1", "generator seed must be at least 0, got -1"),
         ],
-        ids=["gradual-without-width", "one-class", "change-past-end", "empty"],
+        ids=["gradual-without-width", "one-class", "change-past-end", "empty", "negative-seed"],
     )
     def test_unloadable_generator_spec_fails_before_any_run(self, spec, message, capsys):
         # compare used to run every cell, record each as failed and exit 0
@@ -262,56 +270,82 @@ class TestCompare:
 class TestGenerate:
     def test_writes_csv_and_sidecar(self, capsys, tmp_path):
         out = tmp_path / "stream.csv"
-        code = run_cli(
-            "generate",
-            "--kind", "sudden",
-            "--n", "120",
-            "--seed", "7",
-            "--out", str(out),
-        )
+        spec = "gen:kind=sudden,n=120,seed=7"
+        code = run_cli("generate", "--stream", spec, "--out", str(out))
         assert code == 0
         assert "wrote" in capsys.readouterr().out
         loaded = parse_stream_spec(str(out)).load()
         assert len(loaded.instances) == 120
         meta = json.loads((tmp_path / "stream.csv.meta.json").read_text())
-        assert meta["kind"] == "sudden"
-        assert meta["change_points"] == [60]  # default: one change at n/2
-        assert meta["seed"] == 7
+        # the stream entry run embeds, the seed used and the class names
+        assert meta == {
+            "stream": parse_stream_spec(spec).describe(),
+            "seed": 7,
+            "class_names": ["c0", "c1"],
+        }
+        assert meta["stream"]["generator"]["change_points"] == []  # no default change
+
+    def test_sidecar_seed_is_zero_when_the_spec_sets_none(self, tmp_path):
+        out = tmp_path / "stream.csv"
+        assert run_cli("generate", "--stream", "gen:n=50", "--out", str(out)) == 0
+        meta = json.loads((tmp_path / "stream.csv.meta.json").read_text())
+        assert meta["seed"] == 0
+        assert meta["stream"]["generator"]["seed"] is None
+        pinned = tmp_path / "pinned.csv"
+        assert run_cli("generate", "--stream", "gen:n=50,seed=0", "--out", str(pinned)) == 0
+        assert out.read_bytes() == pinned.read_bytes()
+
+    def test_writes_the_stream_run_reads_from_the_same_spec(self, capsys, tmp_path):
+        spec = "gen:family=gaussian-clusters,kind=incremental,n=300,changes=100,width=50,classes=3,dims=4,seed=2"
+        out = tmp_path / "stream.csv"
+        assert run_cli("generate", "--stream", spec, "--out", str(out)) == 0
+        rows = []
+        for stream in (parse_stream_spec(str(out)).load(), parse_stream_spec(spec).load()):
+            names = stream.schema.class_names
+            rows.append([(inst.features, names[inst.label]) for inst in stream.instances])
+        assert len(rows[0][0][0]) == 4
+        assert {name for _, name in rows[0]} == {"c0", "c1", "c2"}
+        assert rows[0] == rows[1]
 
     def test_rerun_byte_identical(self, tmp_path):
         blobs = []
         for tag in ("a", "b"):
             out = tmp_path / f"{tag}.csv"
-            run_cli("generate", "--kind", "gradual", "--n", "150",
-                    "--width", "40", "--out", str(out))
+            run_cli("generate", "--stream", "gen:kind=gradual,n=150,changes=75,width=40", "--out", str(out))
             blobs.append(out.read_bytes() + (tmp_path / f"{tag}.csv.meta.json").read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_sudden_kind_rejects_width(self, capsys, tmp_path):
-        code = run_cli(
-            "generate",
-            "--kind", "sudden",
-            "--n", "100",
-            "--width", "100",
-            "--out", str(tmp_path / "x.csv"),
-        )
+        out = tmp_path / "x.csv"
+        code = run_cli("generate", "--stream", "gen:kind=sudden,n=100,width=100", "--out", str(out))
         assert code == 2
-        assert "--kind/--changes/--width" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: transition width must be 0 for sudden drift\n"
+        assert not out.exists()
 
     def test_bad_changes_list(self, capsys, tmp_path):
-        code = run_cli(
-            "generate",
-            "--kind", "sudden",
-            "--n", "100",
-            "--changes", "50,mid",
-            "--out", str(tmp_path / "x.csv"),
-        )
+        code = run_cli("generate", "--stream", "gen:n=100,changes=50|mid", "--out", str(tmp_path / "x.csv"))
         assert code == 2
-        assert "--changes" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: bad value for generator key 'changes': '50|mid'\n"
+
+    def test_file_path_is_rejected(self, capsys, tmp_path):
+        source = tmp_path / "source.csv"
+        source.write_text("x,class\n1.0,a\n")
+        out = tmp_path / "x.csv"
+        code = run_cli("generate", "--stream", str(source), "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: generate needs a gen: spec, got {str(source)!r}\n"
+        assert not out.exists()
+
+    def test_negative_seed_is_a_setting_error(self, capsys, tmp_path):
+        # numpy's default_rng used to end this in a bare ValueError, exit 1
+        out = tmp_path / "x.csv"
+        assert run_cli("generate", "--stream", "gen:n=300,seed=-1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: generator seed must be at least 0, got -1\n"
+        assert not out.exists()
 
     def test_unwritable_out_is_io_error(self, capsys, tmp_path):
         out = tmp_path / "no" / "such" / "dir" / "x.csv"
-        code = run_cli("generate", "--kind", "sudden", "--n", "50", "--out", str(out))
+        code = run_cli("generate", "--stream", "gen:n=50", "--out", str(out))
         assert code == 3
         assert "i/o error" in capsys.readouterr().err
 

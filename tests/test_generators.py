@@ -304,6 +304,11 @@ class TestGenDriftStream:
         with pytest.raises(ConfigError):
             gen_drift_stream(DriftProfile("sudden"), "gaussian-clusters", 0, seed=0)
 
+    def test_rejects_a_negative_seed(self):
+        # numpy's default_rng used to end this in a bare ValueError
+        with pytest.raises(ConfigError, match="generator seed must be at least 0, got -1"):
+            gen_drift_stream(DriftProfile("sudden"), "gaussian-clusters", 10, seed=-1)
+
     def test_change_point_must_fit(self):
         with pytest.raises(InvalidProfile):
             gen_drift_stream(DriftProfile("sudden", (100,)), "gaussian-clusters", 100, seed=0)

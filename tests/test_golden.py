@@ -5,7 +5,11 @@ change meant only to make the loop faster must not move a single byte.
 Each case runs ``driftlab run --stride 1`` (every step record, plus the
 summary and the series sidecar) or a small ``driftlab compare`` in
 process, and compares the digests of what it wrote against digests
-recorded before the per-step path was last optimised.
+recorded before the per-step path was last optimised. One more case
+pins the CSV and the sidecar that ``driftlab generate`` writes for a
+gradual-drift spec; the CSV is the one the earlier flag form
+(``--kind gradual --family sea-like-thresholds --n 2000 --changes 1000
+--width 200 --seed 11``) wrote.
 
 The streams are a ``gen:`` stream (numeric features, one sudden change)
 and a small ARFF stream with nominal attributes, missing cells and a
@@ -26,6 +30,7 @@ import pytest
 from driftlab.cli import main
 
 GEN = "gen:name=gen-golden,family=gaussian-clusters,kind=sudden,n=2000,changes=1000,seed=3"
+GENERATE = "gen:family=sea-like-thresholds,kind=gradual,n=2000,changes=1000,width=200,seed=11"
 
 RUNS = {
     "nb-random-none-0.1": ("gen", "nb", "random", "none", "0.1"),
@@ -68,6 +73,10 @@ DIGESTS = {
     "compare": {
         "records.jsonl": "8af2297379090cce67f3400dbf3f5352f37082494863ddbcc34c60fe1e7031c2",
         "table.txt": "68e37ef153d9f21479778cd922d82b838d2583f781ea3255f00ff7c75a7ac9ad",
+    },
+    "generate": {
+        "stream.csv": "a97fa12696f0998cb3f1465d4122b3287eb95d52bc57fc1424a7807718203f7a",
+        "stream.csv.meta.json": "3c62c81033026bafa594259ee890d96a67a13b981936624895f5dd5b39712eaa",
     },
     "ht-randvar-cddm-0.1": {
         "series.csv": "f00a7719f30d38b4cdd9a90dd16996108800e60139b121c6fb4442cde4878ad8",
@@ -160,3 +169,9 @@ def test_compare_outputs_are_golden(sources, capsys, monkeypatch):
     assert main(argv) == 0
     capsys.readouterr()
     assert digests(out) == DIGESTS["compare"]
+
+
+def test_generate_outputs_are_golden(tmp_path, capsys):
+    assert main(["generate", "--stream", GENERATE, "--out", str(tmp_path / "stream.csv")]) == 0
+    capsys.readouterr()
+    assert digests(tmp_path) == DIGESTS["generate"]

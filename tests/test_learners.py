@@ -345,6 +345,23 @@ class TestHistogram:
         with pytest.raises(DomainError, match="largest float"):
             ht.train((1.7e308,), 0)
 
+    def test_classes_1e307_either_side_of_zero_split(self):
+        assert train_opposite_points(1e307).n_splits == 1
+
+    def test_classes_whose_merged_range_is_wider_than_the_largest_float_is_a_domain_error(self):
+        # each class's own range is a single point; every cut of the merged
+        # range used to be inf, and the tree silently never split
+        with pytest.raises(DomainError, match=r"-1e\+308 to 1e\+308 span more than the largest float"):
+            train_opposite_points(1e308)
+
+
+def train_opposite_points(scale):
+    """A tree fed one grace period of class a at -scale and class b at +scale."""
+    ht = HoeffdingTree(StreamSchema((Attribute("x", NUMERIC),), ("a", "b")))
+    for i in range(ht.grace_period):
+        ht.train((scale if i % 2 else -scale,), i % 2)
+    return ht
+
 
 def left_counts(hist, cuts):
     """The array pass's left counts of one histogram at ``cuts``."""

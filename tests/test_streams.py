@@ -377,6 +377,14 @@ class TestStreamSpec:
         assert stream.schema.n_attributes == 4
         assert stream.metadata["params"]["radius"] == 2.5
 
+    def test_each_key_lands_in_its_one_place(self):
+        spec = parse_stream_spec("gen:kind=recurring,n=40,changes=10|30,width=5,cycle=3,classes=3,dims=4,spread=1")
+        generator = spec.generator
+        assert generator["cycle_length"] == 3
+        assert generator["params"] == {"classes": 3, "dims": 4, "spread": 1.0}
+        assert [type(v) for v in generator["params"].values()] == [int, int, float]
+        assert generator["seed"] is None
+
     def test_default_name_carries_every_key_it_does_not_show(self):
         spec = parse_stream_spec("gen:n=30,classes=3,kind=sudden,seed=2")
         assert spec.name == "gaussian-clusters-sudden-30-classes=3-seed=2"
@@ -403,8 +411,9 @@ class TestStreamSpec:
             ("gen:n=500,changes=600", "change point 600 outside stream of 500"),
             ("gen:n=0", "stream length must be at least 1"),
             ("gen:family=sea-like-thresholds,classes=3", "bad parameters"),
+            ("gen:n=300,seed=-2", "generator seed must be at least 0, got -2"),
         ],
-        ids=["gradual-without-width", "one-class", "change-past-end", "empty", "bad-family-parameter"],
+        ids=["gradual-without-width", "one-class", "change-past-end", "empty", "bad-family-parameter", "negative-seed"],
     )
     def test_unloadable_generator_spec_fails_at_parse(self, text, message):
         with pytest.raises(DriftLabError, match=message):
