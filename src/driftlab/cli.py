@@ -40,6 +40,14 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _parse_stream(flag, text):
+    """``parse_stream_spec(text)``, with ``flag`` named before its errors."""
+    try:
+        return parse_stream_spec(text)
+    except DriftLabError as exc:
+        raise ConfigError(f"{flag}: {exc}")
+
+
 def cmd_run(args) -> int:
     if args.stream is None:
         raise ConfigError("--stream is required (path or gen: spec)")
@@ -57,7 +65,7 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         raise ConfigError(f"--learner/--al/--sl/--budget/--seed/--window: {exc}")
 
-    spec = parse_stream_spec(args.stream, fmt=args.format)
+    spec = _parse_stream("--stream", args.stream)
     stream = spec.load(seed_fallback=config.seed)
     want_series = args.series_out is not None
     records, summary = run_stream(
@@ -93,9 +101,7 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"--budgets: not a number list: {args.budgets!r}")
     if args.seeds < 1:
         raise ConfigError("--seeds must be at least 1")
-    streams = tuple(
-        parse_stream_spec(text, fmt=args.format) for text in args.streams
-    )
+    streams = tuple(_parse_stream("--streams", text) for text in args.streams)
     try:
         spec = GridSpec(
             streams=streams,
@@ -149,8 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one stream with one configuration")
-    run.add_argument("--stream", help="data file path or gen: spec")
-    run.add_argument("--format", choices=("csv", "arff"))
+    run.add_argument("--stream", help="data file path (.arff is ARFF, anything else CSV) or gen: spec")
     run.add_argument("--learner", choices=LEARNERS, default="nb")
     run.add_argument("--al", choices=ACTIVE, default="randvar", help="query strategy")
     run.add_argument("--sl", choices=SELF_LABEL, default=HybridConfig.self_label, help="self-label strategy")
@@ -167,9 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--streams",
         required=True,
         nargs="+",
-        help="one or more sources (paths or gen: specs)",
+        help="one or more sources (paths, .arff is ARFF and anything else CSV, or gen: specs)",
     )
-    compare.add_argument("--format", choices=("csv", "arff"))
     compare.add_argument("--learners", default=",".join(GridSpec.learners))
     compare.add_argument("--al", default=",".join(GridSpec.active))
     compare.add_argument("--sl", default=",".join(GridSpec.self_label))

@@ -16,15 +16,12 @@ from collections import deque
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
-from .core import ConfigError
-
 
 class PrequentialWindow:
-    """Sliding-window 0/1 loss tracker with an exact running sum."""
+    """Sliding-window 0/1 loss tracker with an exact running sum; the
+    window length (at least 1) is checked by ``HybridConfig``."""
 
     def __init__(self, window: int):
-        if window < 1:
-            raise ConfigError("evaluation window must be at least 1")
         self.window = int(window)
         self._losses = deque(maxlen=self.window)
         self._sum = 0

@@ -19,7 +19,7 @@ then feature noise, in that frozen order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -134,7 +134,23 @@ def _require_finite(**params):
             raise ConfigError(f"{key} must be finite, got {value!r}")
 
 
-class GaussianClusters:
+@dataclass(frozen=True)
+class ConceptFamily:
+    """A concept family's dataclass fields are its parameters and its
+    ``gen:`` keys, parsed as their defaults' types (:data:`PARAMS`). Its
+    streams have ``dims`` numeric attributes ``x0..`` and ``classes``
+    classes ``c0..``."""
+
+    def params(self) -> dict:
+        return asdict(self)
+
+    def schema(self) -> StreamSchema:
+        attrs = tuple(Attribute(f"x{i}", NUMERIC) for i in range(self.dims))
+        return StreamSchema(attrs, tuple(f"c{i}" for i in range(self.classes)))
+
+
+@dataclass(frozen=True)
+class GaussianClusters(ConceptFamily):
     """Per-class spherical Gaussians; drift rotates the cluster centers.
 
     Class ``i`` of concept phase ``t`` is centered on a circle of the
@@ -143,33 +159,20 @@ class GaussianClusters:
     """
 
     name = "gaussian-clusters"
+    classes: int = 2
+    dims: int = 2
+    radius: float = 3.0
+    spread: float = 1.0
+    rotation: float = 0.8
 
-    def __init__(self, classes=2, dims=2, radius=3.0, spread=1.0, rotation=0.8):
-        if classes < 2:
+    def __post_init__(self):
+        if self.classes < 2:
             raise ConfigError("gaussian-clusters needs at least 2 classes")
-        if not 2 <= dims <= 10:
+        if not 2 <= self.dims <= 10:
             raise ConfigError("gaussian-clusters supports 2 to 10 dimensions")
-        _require_finite(radius=radius, spread=spread, rotation=rotation)
-        if spread <= 0:
+        _require_finite(radius=self.radius, spread=self.spread, rotation=self.rotation)
+        if self.spread <= 0:
             raise ConfigError("spread must be positive")
-        self.classes = int(classes)
-        self.dims = int(dims)
-        self.radius = float(radius)
-        self.spread = float(spread)
-        self.rotation = float(rotation)
-
-    def params(self):
-        return {
-            "classes": self.classes,
-            "dims": self.dims,
-            "radius": self.radius,
-            "spread": self.spread,
-            "rotation": self.rotation,
-        }
-
-    def schema(self) -> StreamSchema:
-        attrs = tuple(Attribute(f"x{i}", NUMERIC) for i in range(self.dims))
-        return StreamSchema(attrs, tuple(f"c{i}" for i in range(self.classes)))
 
     def class_means(self, phase: float) -> np.ndarray:
         """Cluster centers (classes x dims) at one concept phase."""
@@ -190,7 +193,8 @@ class GaussianClusters:
         return x, y
 
 
-class RotatingHyperplane:
+@dataclass(frozen=True)
+class RotatingHyperplane(ConceptFamily):
     """Uniform data in [-1, 1]^d labeled by a rotating linear boundary.
 
     The boundary normal starts along the first axis and rotates in the
@@ -200,23 +204,16 @@ class RotatingHyperplane:
 
     name = "rotating-hyperplane"
     classes = 2
+    dims: int = 5
+    rotation: float = 0.5
+    noise: float = 0.0
 
-    def __init__(self, dims=5, rotation=0.5, noise=0.0):
-        if dims < 2:
+    def __post_init__(self):
+        if self.dims < 2:
             raise ConfigError("rotating-hyperplane needs at least 2 dimensions")
-        _require_finite(rotation=rotation)
-        if not 0.0 <= noise < 0.5:
+        _require_finite(rotation=self.rotation)
+        if not 0.0 <= self.noise < 0.5:
             raise ConfigError("label noise must be in [0, 0.5)")
-        self.dims = int(dims)
-        self.rotation = float(rotation)
-        self.noise = float(noise)
-
-    def params(self):
-        return {"dims": self.dims, "rotation": self.rotation, "noise": self.noise}
-
-    def schema(self) -> StreamSchema:
-        attrs = tuple(Attribute(f"x{i}", NUMERIC) for i in range(self.dims))
-        return StreamSchema(attrs, ("c0", "c1"))
 
     def boundary_normal(self, phase: float) -> np.ndarray:
         a = phase * self.rotation
@@ -237,7 +234,8 @@ class RotatingHyperplane:
         return x, y
 
 
-class SeaThresholds:
+@dataclass(frozen=True)
+class SeaThresholds(ConceptFamily):
     """Three uniform features in [0, 10]; label is x0 + x1 <= threshold.
 
     Concepts cycle through the classic threshold list (8, 9, 7, 9.5);
@@ -248,18 +246,11 @@ class SeaThresholds:
     classes = 2
     dims = 3
     thresholds = (8.0, 9.0, 7.0, 9.5)
+    noise: float = 0.0
 
-    def __init__(self, noise=0.0):
-        if not 0.0 <= noise < 0.5:
+    def __post_init__(self):
+        if not 0.0 <= self.noise < 0.5:
             raise ConfigError("label noise must be in [0, 0.5)")
-        self.noise = float(noise)
-
-    def params(self):
-        return {"noise": self.noise}
-
-    def schema(self) -> StreamSchema:
-        attrs = tuple(Attribute(f"x{i}", NUMERIC) for i in range(self.dims))
-        return StreamSchema(attrs, ("c0", "c1"))
 
     def threshold_at(self, phase: float) -> float:
         t = self.thresholds
@@ -291,6 +282,8 @@ FAMILIES = {
     SeaThresholds.name: SeaThresholds,
 }
 DEFAULT_FAMILY = GaussianClusters.name
+# every family parameter with its type; a name two families share has one type
+PARAMS = {f.name: type(f.default) for cls in FAMILIES.values() for f in fields(cls)}
 
 
 def make_family(family: str, **params):
@@ -318,7 +311,7 @@ def checked_family(profile: DriftProfile, family: str, n: int, seed, **family_pa
     return fam
 
 
-def gen_drift_stream(profile: DriftProfile, family, n: int, seed, name=None, **family_params) -> LoadedStream:
+def gen_drift_stream(profile: DriftProfile, family, n: int, seed, name, **family_params) -> LoadedStream:
     """Generate ``n`` instances from a concept family under a drift profile.
 
     Deterministic for fixed (profile, family, params, n, seed): calling
@@ -345,5 +338,4 @@ def gen_drift_stream(profile: DriftProfile, family, n: int, seed, name=None, **f
         "n": n,
         "seed": seed,
     }
-    stream_name = name or f"{fam.name}:{profile.kind}"
-    return LoadedStream(stream_name, fam.schema(), instances, metadata)
+    return LoadedStream(name, fam.schema(), instances, metadata)

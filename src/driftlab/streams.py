@@ -35,7 +35,7 @@ from .core import (
     StreamSchema,
     UnknownClass,
 )
-from .generators import DEFAULT_FAMILY, SUDDEN, DriftProfile, checked_family, gen_drift_stream
+from .generators import DEFAULT_FAMILY, PARAMS, SUDDEN, DriftProfile, checked_family, gen_drift_stream
 
 
 class MalformedHeader(DriftLabError):
@@ -275,17 +275,20 @@ def write_csv(path, stream: LoadedStream) -> None:
 class StreamSpec:
     """Picklable description of where a stream comes from.
 
-    Either a file (``path`` + ``fmt``) or generator settings, a dict with
-    every key :func:`parse_stream_spec` fills in. A spec can be loaded
-    many times; generated streams take their seed from the spec itself
-    or, when unset there, from the caller's fallback so experiment grids
-    can vary streams per run seed.
+    Either a file ``path`` (ARFF if it ends in ``.arff``, else CSV) or
+    generator settings, a dict with every key :func:`parse_stream_spec`
+    fills in. A spec can be loaded many times; generated streams take
+    their seed from the spec itself or, when unset there, from the
+    caller's fallback so experiment grids can vary streams per run seed.
     """
 
     name: str
     path: str | None = None
-    fmt: str = "csv"
     generator: dict | None = None
+
+    @property
+    def fmt(self) -> str:
+        return "arff" if self.path.lower().endswith(".arff") else "csv"
 
     def load(self, seed_fallback=None) -> LoadedStream:
         if self.generator is not None:
@@ -300,9 +303,7 @@ class StreamSpec:
             raise ConfigError(f"stream spec {self.name!r} has neither a path nor a generator")
         if self.fmt == "arff":
             return read_arff(self.path, name=self.name)
-        if self.fmt == "csv":
-            return read_csv(self.path, name=self.name)
-        raise ConfigError(f"--format must be csv or arff, got {self.fmt!r}")
+        return read_csv(self.path, name=self.name)
 
     def describe(self) -> dict:
         if self.generator is not None:
@@ -315,24 +316,23 @@ def _profile(g) -> DriftProfile:
 
 
 _GEN_INT_KEYS = {"n", "width", "seed"}
-# the family parameters, each with its type
-_GEN_PARAMS = dict(classes=int, dims=int, radius=float, spread=float, rotation=float, noise=float)
 
 
-def parse_stream_spec(text, fmt=None) -> StreamSpec:
+def parse_stream_spec(text) -> StreamSpec:
     """Turn a CLI stream argument into a StreamSpec.
 
     ``gen:`` prefixes describe a synthetic stream as comma-separated
     ``key=value`` pairs, e.g.
     ``gen:family=gaussian-clusters,kind=sudden,n=20000,changes=10000``.
     Recognized keys: name, family, kind, n, changes (``|``-separated
-    indices), width, seed, cycle, and the family parameters classes,
-    dims, radius, spread, rotation, noise. Without ``name``, the stream
-    is named ``<family>-<kind>-<n>`` followed by ``-key=value`` for each
-    other key, in the order written. The drift profile, the stream
-    length, the seed and the family with its parameters are checked
-    here, by the generator's own code. Anything else is a path to a
-    stream file; its format comes from ``fmt`` or the file extension.
+    indices), width, seed, cycle, and the family parameters, which are
+    the family dataclasses' fields (``generators.PARAMS``). Without
+    ``name``, the stream is named ``<family>-<kind>-<n>`` followed by
+    ``-key=value`` for each other key, in the order written. The drift
+    profile, the stream length, the seed and the family with its
+    parameters are checked here, by the generator's own code; errors
+    name no CLI flag, the caller adds its own. Anything else is a path
+    to a stream file, read as its extension says (``StreamSpec.fmt``).
     """
     if text.startswith("gen:"):
         body = text[len("gen:") :]
@@ -342,7 +342,7 @@ def parse_stream_spec(text, fmt=None) -> StreamSpec:
         suffix = ""  # every key the default name does not already show
         for pair in filter(None, body.split(",")):
             if "=" not in pair:
-                raise ConfigError(f"--stream generator spec needs key=value pairs, got {pair!r}")
+                raise ConfigError(f"gen: spec needs key=value pairs, got {pair!r}")
             key, _, value = pair.partition("=")
             key = key.strip()
             value = value.strip()
@@ -363,10 +363,10 @@ def parse_stream_spec(text, fmt=None) -> StreamSpec:
                     settings["cycle_length"] = int(value)
                 elif key in _GEN_INT_KEYS:
                     settings[key] = int(value)
-                elif key in _GEN_PARAMS:
-                    params[key] = _GEN_PARAMS[key](value)
+                elif key in PARAMS:
+                    params[key] = PARAMS[key](value)
                 else:
-                    raise ConfigError(f"unknown generator key {key!r} in --stream")
+                    raise ConfigError(f"unknown key {key!r} in gen: spec")
             except ValueError:
                 raise ConfigError(f"bad value for generator key {key!r}: {value!r}") from None
         family = settings.get("family", DEFAULT_FAMILY)
@@ -386,7 +386,4 @@ def parse_stream_spec(text, fmt=None) -> StreamSpec:
             name = f"{family}-{generator['kind']}-{generator['n']}{suffix}"
         return StreamSpec(name=name, generator=generator)
 
-    name = os.path.splitext(os.path.basename(text))[0]
-    if fmt is None:
-        fmt = "arff" if text.lower().endswith(".arff") else "csv"
-    return StreamSpec(name=name, path=text, fmt=fmt)
+    return StreamSpec(name=os.path.splitext(os.path.basename(text))[0], path=text)

@@ -237,15 +237,21 @@ class TestCompare:
             ("gen:n=500,changes=600", "change point 600 outside stream of 500 instances"),
             ("gen:n=0", "stream length must be at least 1"),
             ("gen:n=300,seed=-1", "generator seed must be at least 0, got -1"),
+            # compare used to name run's flag: "unknown generator key 'wobble' in --stream"
+            ("gen:wobble=1", "unknown key 'wobble' in gen: spec"),
         ],
-        ids=["gradual-without-width", "one-class", "change-past-end", "empty", "negative-seed"],
+        ids=["gradual-without-width", "one-class", "change-past-end", "empty", "negative-seed", "unknown-key"],
     )
     def test_unloadable_generator_spec_fails_before_any_run(self, spec, message, capsys):
-        # compare used to run every cell, record each as failed and exit 0
-        for argv in (("compare", "--streams", spec, "--budgets", "0.1"), ("run", "--stream", spec)):
+        # compare used to run every cell, record each as failed and exit 0;
+        # each command names its own flag before the generator's message
+        for flag, argv in (
+            ("--streams", ("compare", "--streams", spec, "--budgets", "0.1")),
+            ("--stream", ("run", "--stream", spec)),
+        ):
             assert run_cli(*argv) == 2
             captured = capsys.readouterr()
-            assert captured.err == f"error: {message}\n"
+            assert captured.err == f"error: {flag}: {message}\n"
             assert captured.out == ""
 
     @pytest.mark.parametrize("jobs", ["1", "2"])

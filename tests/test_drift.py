@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab.core import ConfigError
 from driftlab.drift import (
     CHANGE,
     STABLE,
@@ -316,10 +315,6 @@ class TestWindowedErrorRate:
         w.update(True)
         w.update(False)
         assert w.error_rate() == 0.5
-
-    def test_window_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            PrequentialWindow(window=0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,6 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from driftlab.core import ConfigError
 from driftlab.evaluation import (
     CellResult,
     PrequentialWindow,
@@ -65,10 +64,6 @@ class TestPrequentialWindow:
                 win.update(loss)
         win.update(1)  # the window holds this loss alone
         assert win.error_rate() == 1.0
-
-    def test_window_validation(self):
-        with pytest.raises(ConfigError):
-            PrequentialWindow(window=0)
 
     @given(
         st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=300),

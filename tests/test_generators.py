@@ -251,7 +251,7 @@ def test_non_finite_gaussian_parameters_are_config_errors(setting):
 
 def test_parameters_that_overflow_the_features_are_config_errors():
     with pytest.raises(ConfigError, match="non-finite features"):
-        gen_drift_stream(DriftProfile("sudden"), "gaussian-clusters", 50, seed=0, spread=1e308)
+        gen_drift_stream(DriftProfile("sudden"), "gaussian-clusters", 50, seed=0, name="g", spread=1e308)
 
 
 def test_driftlab_run_reports_a_feature_overflow_without_a_numpy_warning(capsys):
@@ -271,22 +271,22 @@ def test_driftlab_run_rejects_a_non_finite_generator_parameter(capsys):
 class TestGenDriftStream:
     def test_determinism(self):
         prof = DriftProfile("gradual", (500,), width=100)
-        a = gen_drift_stream(prof, "gaussian-clusters", 1000, seed=9)
-        b = gen_drift_stream(prof, "gaussian-clusters", 1000, seed=9)
+        a = gen_drift_stream(prof, "gaussian-clusters", 1000, seed=9, name="a")
+        b = gen_drift_stream(prof, "gaussian-clusters", 1000, seed=9, name="b")
         assert pairs(a.instances) == pairs(b.instances)
-        c = gen_drift_stream(prof, "gaussian-clusters", 1000, seed=10)
+        c = gen_drift_stream(prof, "gaussian-clusters", 1000, seed=10, name="c")
         assert pairs(a.instances) != pairs(c.instances)
 
     def test_length_and_schema(self):
         prof = DriftProfile("sudden", (50,))
-        stream = gen_drift_stream(prof, "rotating-hyperplane", 200, seed=0, dims=3)
+        stream = gen_drift_stream(prof, "rotating-hyperplane", 200, seed=0, name="h", dims=3)
         assert len(stream) == 200
         assert stream.schema.n_attributes == 3
         assert all(inst.label in (0, 1) for inst in stream.instances)
 
     def test_metadata_records_settings(self):
         prof = DriftProfile("sudden", (50,))
-        stream = gen_drift_stream(prof, "sea-like-thresholds", 100, seed=4)
+        stream = gen_drift_stream(prof, "sea-like-thresholds", 100, seed=4, name="s")
         md = stream.metadata
         assert md["source"] == "generator"
         assert md["family"] == "sea-like-thresholds"
@@ -295,20 +295,15 @@ class TestGenDriftStream:
         assert md["n"] == 100
         assert md["seed"] == 4
 
-    def test_default_name(self):
-        prof = DriftProfile("sudden")
-        stream = gen_drift_stream(prof, "gaussian-clusters", 10, seed=0)
-        assert stream.name == "gaussian-clusters:sudden"
-
     def test_rejects_empty_stream(self):
         with pytest.raises(ConfigError):
-            gen_drift_stream(DriftProfile("sudden"), "gaussian-clusters", 0, seed=0)
+            gen_drift_stream(DriftProfile("sudden"), "gaussian-clusters", 0, seed=0, name="g")
 
     def test_rejects_a_negative_seed(self):
         # numpy's default_rng used to end this in a bare ValueError
         with pytest.raises(ConfigError, match="generator seed must be at least 0, got -1"):
-            gen_drift_stream(DriftProfile("sudden"), "gaussian-clusters", 10, seed=-1)
+            gen_drift_stream(DriftProfile("sudden"), "gaussian-clusters", 10, seed=-1, name="g")
 
     def test_change_point_must_fit(self):
         with pytest.raises(InvalidProfile):
-            gen_drift_stream(DriftProfile("sudden", (100,)), "gaussian-clusters", 100, seed=0)
+            gen_drift_stream(DriftProfile("sudden", (100,)), "gaussian-clusters", 100, seed=0, name="g")

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from driftlab.core import (
     StreamSchema,
     UnknownClass,
 )
-from driftlab.generators import DriftProfile, gen_drift_stream
+from driftlab.generators import FAMILIES, PARAMS, DriftProfile, gen_drift_stream
 from driftlab.hybrid import HybridConfig, run_stream
 from driftlab.streams import (
     MalformedHeader,
@@ -152,7 +154,7 @@ class TestWriteCsv:
 
     def test_generated_stream_round_trip(self, tmp_path):
         prof = DriftProfile("sudden", (50,))
-        stream = gen_drift_stream(prof, "gaussian-clusters", 100, seed=3)
+        stream = gen_drift_stream(prof, "gaussian-clusters", 100, seed=3, name="gen")
         p = tmp_path / "gen.csv"
         write_csv(p, stream)
         back = read_csv(p)
@@ -347,6 +349,28 @@ class TestNonFiniteCells:
         self.check(read_arff(p))
 
 
+FAMILY_FIELDS = [(family, f) for family, cls in FAMILIES.items() for f in fields(cls)]
+
+
+@pytest.mark.parametrize(
+    "family, field", FAMILY_FIELDS, ids=[f"{family}-{f.name}" for family, f in FAMILY_FIELDS]
+)
+def test_every_family_field_is_a_gen_key_with_its_default(family, field):
+    bare = parse_stream_spec(f"gen:family={family},n=60,seed=1")
+    explicit = parse_stream_spec(f"gen:family={family},n=60,seed=1,{field.name}={field.default}")
+    (value,) = explicit.generator["params"].values()
+    assert value == field.default and type(value) is type(field.default)
+    assert pairs(explicit.load().instances) == pairs(bare.load().instances)
+
+
+def test_a_parameter_two_families_share_has_one_type():
+    types = {}
+    for cls in FAMILIES.values():
+        for f in fields(cls):
+            assert types.setdefault(f.name, type(f.default)) is type(f.default), f.name
+    assert types == PARAMS
+
+
 class TestStreamSpec:
     def test_generator_spec_loads_and_reloads(self):
         spec = parse_stream_spec("gen:family=sea-like-thresholds,kind=sudden,n=50,changes=25,seed=3")
@@ -429,6 +453,9 @@ class TestStreamSpec:
         assert spec.name == "data"
         spec = parse_stream_spec(str(tmp_path / "data.csv"))
         assert spec.fmt == "csv"
+        assert spec.describe()["format"] == "csv"
+        assert StreamSpec(name="x", path="DATA.ARFF").fmt == "arff"
+        assert StreamSpec(name="x", path="data.txt").fmt == "csv"
 
     def test_path_spec_loads_file(self, tmp_path):
         p = tmp_path / "tiny.csv"
@@ -436,11 +463,6 @@ class TestStreamSpec:
         stream = parse_stream_spec(str(p)).load()
         assert len(stream) == 2
         assert stream.name == "tiny"
-
-    def test_bad_format_rejected(self, tmp_path):
-        spec = StreamSpec(name="x", path=str(tmp_path / "f.bin"), fmt="parquet")
-        with pytest.raises(ConfigError):
-            spec.load()
 
     def test_spec_is_picklable(self):
         import pickle
