@@ -49,8 +49,6 @@ def _parse_stream(flag, text):
 
 
 def cmd_run(args) -> int:
-    if args.stream is None:
-        raise ConfigError("--stream is required (path or gen: spec)")
     if args.stride < 1:
         raise ConfigError("--stride must be at least 1")
     try:
@@ -99,8 +97,6 @@ def cmd_compare(args) -> int:
         budgets = tuple(float(b) for b in _split(args.budgets))
     except ValueError:
         raise ConfigError(f"--budgets: not a number list: {args.budgets!r}")
-    if args.seeds < 1:
-        raise ConfigError("--seeds must be at least 1")
     streams = tuple(_parse_stream("--streams", text) for text in args.streams)
     try:
         spec = GridSpec(
@@ -113,7 +109,7 @@ def cmd_compare(args) -> int:
             window=args.window,
         )
     except ConfigError as exc:
-        raise ConfigError(f"--learners/--al/--sl/--budgets/--window: {exc}")
+        raise ConfigError(f"--streams/--learners/--al/--sl/--budgets/--seeds/--window: {exc}")
 
     report = run_grid(spec, jobs=resolve_jobs(args.jobs))
     text = to_text(report)
@@ -155,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one stream with one configuration")
-    run.add_argument("--stream", help="data file path (.arff is ARFF, anything else CSV) or gen: spec")
+    run.add_argument("--stream", required=True, help="data file path (.arff is ARFF, anything else CSV) or gen: spec")
     run.add_argument("--learner", choices=LEARNERS, default="nb")
     run.add_argument("--al", choices=ACTIVE, default="randvar", help="query strategy")
     run.add_argument("--sl", choices=SELF_LABEL, default=HybridConfig.self_label, help="self-label strategy")

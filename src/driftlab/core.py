@@ -169,8 +169,6 @@ class ClassPosterior:
     @classmethod
     def uniform(cls, class_count: int) -> "ClassPosterior":
         self = cls.__new__(cls)
-        if class_count < 2:
-            raise ValueError("a posterior needs at least two classes")
         p = 1.0 / class_count
         self.probs = [p] * class_count
         self.top_index = 0

@@ -45,7 +45,8 @@ class GridSpec:
     ``rows`` holds every table row (:func:`grid_rows`), built once here.
     Names, budgets and the window are checked by each row's
     ``HybridConfig``, so a bad setting fails before any run starts; a
-    grid with no rows would check none of them and is rejected.
+    grid with no rows would check none of them and is rejected, and so
+    is a value given twice on one axis.
     """
 
     streams: tuple
@@ -68,13 +69,21 @@ class GridSpec:
                     f"unknown hybrid self-label strategy {name!r};"
                     f" choose from {', '.join(HYBRID_POLICIES)}"
                 )
-        names = [stream.name for stream in self.streams]
-        for name in names:
-            if names.count(name) > 1:
-                raise ConfigError(
-                    f"two streams are named {name!r}; give each its own"
-                    " name= (for files, rename one)"
-                )
+        # a repeated value would run its cells twice and count them twice
+        for axis, values in (
+            ("stream name", [stream.name for stream in self.streams]),
+            ("learner", self.learners),
+            ("query strategy", self.active),
+            ("self-label policy", self.self_label),
+            ("budget", self.budgets),
+            ("seed", self.seeds),
+        ):
+            for value in values:
+                if values.count(value) > 1:
+                    message = f"{axis} {value!r} is given twice"
+                    if axis == "stream name":
+                        message += "; give each stream its own name= (for files, rename one)"
+                    raise ConfigError(message)
         object.__setattr__(self, "rows", grid_rows(self))
         if not self.rows:
             raise ConfigError("grid has no rows: give a learner, a budget and a strategy")

@@ -42,14 +42,10 @@ class LabelOutOfRange(DriftLabError):
 def hoeffding_bound(value_range: float, delta: float, n: int) -> float:
     """Confidence radius sqrt(R^2 ln(1/delta) / 2n) for a mean of n values.
 
-    ``delta`` may be exactly 1, collapsing the radius to zero.
+    ``delta`` may be exactly 1, collapsing the radius to zero. The
+    arguments are unchecked: :class:`HoeffdingTree` passes a range of
+    log2(classes) >= 1, its split confidence in (0, 1) and n >= 1.
     """
-    if value_range <= 0.0:
-        raise DomainError(f"value range must be positive, got {value_range!r}")
-    if not 0.0 < delta <= 1.0:
-        raise DomainError(f"delta must lie in (0, 1], got {delta!r}")
-    if n < 1:
-        raise DomainError(f"need at least one observation, got {n!r}")
     return math.sqrt(value_range * value_range * math.log(1.0 / delta) / (2.0 * n))
 
 
@@ -581,9 +577,6 @@ class HoeffdingTree:
         return gain, None
 
     def _try_split(self, leaf, parent, slot):
-        n = leaf.nb.trained
-        if n < 1:
-            return
         best_gain = 0.0
         second_gain = 0.0
         best_attr = None
@@ -606,7 +599,7 @@ class HoeffdingTree:
                 second_gain = gain
         if best_attr is None or best_gain <= 1e-10:
             return
-        eps = hoeffding_bound(self._range, self.split_confidence, n)
+        eps = hoeffding_bound(self._range, self.split_confidence, leaf.nb.trained)
         if not (best_gain - second_gain > eps or eps < self.tie_threshold):
             return
         if best_threshold is None:
@@ -636,23 +629,7 @@ class _BayesStack:
     gives the uniform posterior it answers with.
     """
 
-    def __init__(self, numeric, nominal, offsets, prior, observed, mean, norm, inv2, table):
-        self.numeric = numeric
-        self.nominal = nominal
-        self.offsets = offsets  # first row of each nominal attribute in ``table``
-        self.arrays = (prior, observed, mean, norm, inv2, table)
-        self.prior, self.observed, self.mean, self.norm, self.inv2, self.table = self.arrays
-        # the term buffer of :meth:`scores`: row 0 holds the log prior,
-        # and the unobserved numeric entries stay 0.0
-        terms = np.zeros((1 + len(numeric) + len(nominal),) + prior.shape[1:])
-        terms[0] = prior[0]
-        self._terms = terms
-        self._numeric_terms = terms[1 : 1 + len(numeric)]
-        self._nominal_terms = terms[1 + len(numeric) :]
-        self._diff = np.empty_like(mean)
-
-    @classmethod
-    def of(cls, models):
+    def __init__(self, models):
         first = models[0]
         seen = np.array([m.class_counts for m in models]) > 0
         seen |= np.array([[m.trained == 0] for m in models])
@@ -670,15 +647,20 @@ class _BayesStack:
         for j in first._nominal:
             offsets.append(sum(map(len, tables)))
             tables.append(np.array([[lik[j] for lik in m._log_vlik] for m in models]).transpose(2, 0, 1))
-        n, mean, norm, inv2 = map(attribute_major, ("_n", "_mean", "_log_norm", "_inv2var"))
-        tables = np.concatenate(tables)
-        return cls(first._numeric, first._nominal, tuple(offsets), prior, n > 0, mean, norm, inv2, tables)
-
-    def take(self, rows):
-        """The stack of the models at positions ``rows``, in that order."""
-        return _BayesStack(
-            self.numeric, self.nominal, self.offsets, *(np.take(a, rows, axis=1) for a in self.arrays)
-        )
+        n, self.mean, self.norm, self.inv2 = map(attribute_major, ("_n", "_mean", "_log_norm", "_inv2var"))
+        self.numeric, self.nominal = first._numeric, first._nominal
+        self.offsets = tuple(offsets)  # first row of each nominal attribute in ``table``
+        self.prior = prior
+        self.observed = n > 0
+        self.table = np.concatenate(tables)
+        # the term buffer of :meth:`scores`: row 0 holds the log prior,
+        # and the unobserved numeric entries stay 0.0
+        terms = np.zeros((1 + len(self.numeric) + len(self.nominal),) + prior.shape[1:])
+        terms[0] = prior[0]
+        self._terms = terms
+        self._numeric_terms = terms[1 : 1 + len(self.numeric)]
+        self._nominal_terms = terms[1 + len(self.numeric) :]
+        self._diff = np.empty_like(self.mean)
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow to inf, like float math
     def scores(self, features):
@@ -741,15 +723,15 @@ class AccuracyWeightedEnsemble:
     uniform while the committee is empty, and a plain average if all
     weights have decayed to zero.
 
-    Members are frozen once added. Each chunk close stacks their Naive
-    Bayes state once (:class:`_BayesStack`): the chunk is re-weighted
-    against that stack in one batched pass, and the rows of the members
-    prediction reads (those with non-zero weight, or all of them when
-    every weight is zero) are kept, so a prediction scores every member
-    in one stacked pass. Both passes are bit-identical to scoring each
-    member in turn. The prediction stack is rebuilt at every chunk close
-    and whenever ``members`` is assigned; assign a new list rather than
-    editing it in place.
+    Members are frozen once added. Each chunk close builds two stacks of
+    their Naive Bayes state (:class:`_BayesStack`): one of every member,
+    against which the chunk is re-weighted in one batched pass, and,
+    after the eviction, one of the members prediction reads (those with
+    non-zero weight, or all of them when every weight is zero), so a
+    prediction scores every member in one stacked pass. Both passes are
+    bit-identical to scoring each member in turn. The prediction stack
+    is rebuilt at every chunk close and whenever ``members`` is
+    assigned; assign a new list rather than editing it in place.
 
     The newest member is weighted on the chunk it was just trained on,
     which favours it; Wang et al. (KDD 2003) estimate that member's
@@ -784,10 +766,9 @@ class AccuracyWeightedEnsemble:
         self._members = members
         self._restack()
 
-    def _restack(self, stack=None, rows=None):
+    def _restack(self):
         """Freeze what prediction reads: the stack of the members it
-        scores, their weights and the final scale. A given ``stack``
-        holds member k at row ``rows[k]``; otherwise one is built."""
+        scores, their weights and the final scale."""
         members = self._members
         if not members:
             self._stack = None
@@ -805,10 +786,7 @@ class AccuracyWeightedEnsemble:
             weights = [1.0] * len(members)
             self._scale = 1.0 / len(members)
         self._weights = [weights[k] for k in used]
-        if stack is None:
-            self._stack = _BayesStack.of([members[k][0] for k in used])
-        else:
-            self._stack = stack.take([rows[k] for k in used])
+        self._stack = _BayesStack([members[k][0] for k in used])
 
     def train(self, features, label):
         if not 0 <= label < self.schema.class_count:
@@ -830,19 +808,16 @@ class AccuracyWeightedEnsemble:
         members = self._members
         members.append([fresh, 0.0])
         features, labels = zip(*chunk)
-        stack = _BayesStack.of([m[0] for m in members])
-        hits = (stack.tops(features) == np.array(labels)[:, None]).sum(axis=0).tolist()
+        tops = _BayesStack([m[0] for m in members]).tops(features)
+        hits = (tops == np.array(labels)[:, None]).sum(axis=0).tolist()
         inv = 1.0 / len(chunk)
         for member, correct in zip(members, hits):
             member[1] = correct * inv
-        rows = list(range(len(members)))
         if len(members) > self.capacity:
             weights = [m[1] for m in members]
-            evicted = weights.index(min(weights))
-            members.pop(evicted)
-            rows.pop(evicted)
+            members.pop(weights.index(min(weights)))
         self._buffer = []
-        self._restack(stack, rows)
+        self._restack()
 
     def predict_probs(self, features) -> list:
         c = self.schema.class_count

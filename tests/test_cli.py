@@ -108,8 +108,11 @@ class TestRun:
         assert "attribute 'a'" in err
 
     def test_stream_flag_required(self, capsys):
-        assert run_cli("run", "--budget", "0.2") == 2
-        assert "--stream" in capsys.readouterr().err
+        # argparse rejects the missing flag before any handler runs
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--budget", "0.2")
+        assert exc.value.code == 2
+        assert "the following arguments are required: --stream" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stride", ["0", "-1"])
     @pytest.mark.parametrize("with_series", [True, False])
@@ -203,7 +206,7 @@ class TestCompare:
         code = run_cli("compare", "--streams", TINY, "--sl", "oracle")
         assert code == 2
         err = capsys.readouterr().err
-        assert "--learners/--al/--sl/--budgets/--window:" in err
+        assert "--streams/--learners/--al/--sl/--budgets/--seeds/--window:" in err
         # only the policies compare accepts are offered: no 'none'
         assert "'oracle'" in err
         assert err.rpartition("choose from ")[2].strip().split(", ") == list(GridSpec.self_label)
@@ -214,9 +217,44 @@ class TestCompare:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: --learners/--al/--sl/--budgets/--window: window must be at least 1\n"
+            "error: --streams/--learners/--al/--sl/--budgets/--seeds/--window: window must be at least 1\n"
         )
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flag, values, message",
+        [
+            (
+                "--streams",
+                (TINY, TINY.replace("seed=5", "seed=6")),
+                "stream name 'tiny' is given twice; give each stream its own name= (for files, rename one)",
+            ),
+            ("--learners", ("nb,nb",), "learner 'nb' is given twice"),
+            ("--al", ("random,random",), "query strategy 'random' is given twice"),
+            ("--sl", ("fixed,fixed",), "self-label policy 'fixed' is given twice"),
+            ("--budgets", ("0.1,0.10",), "budget 0.1 is given twice"),
+            ("--seeds", ("0",), "grid needs at least one seed"),
+            ("--seeds", ("-1",), "grid needs at least one seed"),
+        ],
+        ids=["streams", "learners", "al", "sl", "budgets", "no-seeds", "negative-seeds"],
+    )
+    def test_grid_error_names_every_grid_flag_before_any_run(self, flag, values, message, capsys, tmp_path):
+        # a repeated value would run, record and count each of its cells twice
+        argv = {
+            "--streams": ("gen:n=300,seed=1",),
+            "--learners": ("nb",),
+            "--al": ("random",),
+            "--sl": ("fixed",),
+            "--budgets": ("0.1",),
+        }
+        argv[flag] = values
+        records = tmp_path / "cells.jsonl"
+        args = [arg for name, given in argv.items() for arg in (name, *given)]
+        assert run_cli("compare", *args, "--records-out", str(records)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --streams/--learners/--al/--sl/--budgets/--seeds/--window: {message}\n"
+        assert captured.out == ""
+        assert not records.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_missing_stream_file_is_io_error(self, jobs, capsys, tmp_path):

@@ -80,10 +80,6 @@ class TestClassPosterior:
         assert post.top_index == 0
         assert post.top_prob == post.second_prob
 
-    def test_uniform_needs_two_classes(self):
-        with pytest.raises(ValueError):
-            ClassPosterior.uniform(1)
-
     def test_rejects_negative_entries(self):
         # only the sum is checked, so the entry is caught, and named, when
         # it leaves the sum at or below zero

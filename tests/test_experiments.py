@@ -56,6 +56,22 @@ class TestGridSpec:
         with pytest.raises(ConfigError, match="name="):
             GridSpec(streams=(tiny_stream(seed=1, name="s"), tiny_stream(seed=2, name="s")))
 
+    @pytest.mark.parametrize(
+        "axis, values, message",
+        [
+            ("learners", ("nb", "ht", "nb"), "learner 'nb' is given twice"),
+            ("active", ("random", "random"), "query strategy 'random' is given twice"),
+            ("self_label", ("fixed", "cddm", "fixed"), "self-label policy 'fixed' is given twice"),
+            ("budgets", (0.1, 0.10), "budget 0.1 is given twice"),
+            ("seeds", (0, 1, 0), "seed 0 is given twice"),
+        ],
+        ids=["learners", "active", "self_label", "budgets", "seeds"],
+    )
+    def test_repeated_axis_values_are_rejected(self, axis, values, message):
+        # a repeat would add a second copy of every cell on its axis
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            GridSpec(streams=(tiny_stream(),), **{axis: values})
+
 
 class TestGridRows:
     def test_baseline_only_row_count(self):
