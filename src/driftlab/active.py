@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
 from .core import ClassPosterior, ConfigError, draws
 
 
@@ -32,9 +30,8 @@ class RandomQuery:
 
     adaptive_threshold = None
 
-    def __init__(self, budget: float, rng=None):
+    def __init__(self, budget: float, *, rng):
         self.budget = float(budget)
-        rng = rng if rng is not None else np.random.default_rng(0)
         self._uniform = draws(rng.random).__next__
 
     def decide(self, posterior: ClassPosterior) -> QueryDecision:
@@ -51,11 +48,10 @@ class SamplingQuery:
 
     adaptive_threshold = None
 
-    def __init__(self, delta: float = 1.0, rng=None):
+    def __init__(self, delta: float = 1.0, *, rng):
         if delta <= 0.0:
             raise ConfigError("sampling delta must be positive")
         self.delta = float(delta)
-        rng = rng if rng is not None else np.random.default_rng(0)
         self._uniform = draws(rng.random).__next__
 
     def decide(self, posterior: ClassPosterior) -> QueryDecision:
@@ -76,7 +72,7 @@ class RandomizedVariableUncertainty:
     query" since no posterior is negative.
     """
 
-    def __init__(self, step: float = 0.01, noise: float = 1.0, rng=None):
+    def __init__(self, step: float = 0.01, noise: float = 1.0, *, rng):
         if not 0.0 < step <= 1.0:
             raise ConfigError("threshold step must lie in (0, 1]")
         if noise < 0.0:
@@ -84,7 +80,6 @@ class RandomizedVariableUncertainty:
         self.step = float(step)
         self.noise = float(noise)
         self.threshold = 1.0
-        rng = rng if rng is not None else np.random.default_rng(0)
         self._normal = draws(rng.standard_normal).__next__
 
     @property

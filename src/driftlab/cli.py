@@ -125,9 +125,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    spec = parse_stream_spec(args.stream)
+    spec = _parse_stream("--stream", args.stream)
     if spec.generator is None:
-        raise ConfigError(f"generate needs a gen: spec, got {args.stream!r}")
+        raise ConfigError(f"--stream: generate needs a gen: spec, got {args.stream!r}")
     stream = spec.load()
     write_csv(args.out, stream)
     sidecar = {

@@ -28,16 +28,17 @@ class DdmDetector:
     recorded ``p + s`` (stored as a pair) anchors the warning and change
     limits at two and three deviations above it.
 
-    Minima recording and level evaluation wait for ``warmup`` outcomes
-    and ``min_errors`` observed errors. The error gate is a deliberate
-    hardening: on streams with long clean prefixes the first recorded
-    minimum would otherwise be (0, 0) and the very first error would
-    fire an alarm.
+    Minima recording and level evaluation wait for ``warmup`` (30)
+    outcomes and ``min_errors`` (30) observed errors. The error gate is a
+    deliberate hardening: on streams with long clean prefixes the first
+    recorded minimum would otherwise be (0, 0) and the very first error
+    would fire an alarm.
     """
 
-    def __init__(self, warmup: int = 30, min_errors: int = 30):
-        self.warmup = int(warmup)
-        self.min_errors = int(min_errors)
+    warmup = 30
+    min_errors = 30
+
+    def __init__(self):
         self.reset()
 
     def reset(self):
@@ -87,23 +88,20 @@ class EddmDetector:
     deviation ``s'``) and resets it, so the first error's distance is
     its 1-based position and back-to-back errors measure 1. The largest
     recorded ``p' + 2s'`` (kept as a pair) is the reference scale;
-    shrinking distances pull the ratio ``zeta`` below 1. Levels need
-    ``warmup_errors`` errors; until then, and again after the reset that
-    follows a change, ``similarity`` holds its last value (initially
-    1.0). A correct outcome returns the held level: a ``warning`` holds
-    until the next error, while ``change`` is returned only by the error
-    that raises it.
+    shrinking distances pull the ratio ``zeta`` below 1, to a warning
+    under ``warning_threshold`` (0.95) and a change under
+    ``change_threshold`` (0.9). Levels need ``warmup_errors`` (30) errors;
+    until then, and again after the reset that follows a change,
+    ``similarity`` holds its last value (initially 1.0). A correct
+    outcome returns the held level: a ``warning`` holds until the next
+    error, while ``change`` is returned only by the error that raises it.
     """
 
-    def __init__(
-        self,
-        warmup_errors: int = 30,
-        change_threshold: float = 0.9,
-        warning_threshold: float = 0.95,
-    ):
-        self.warmup_errors = int(warmup_errors)
-        self.change_threshold = float(change_threshold)
-        self.warning_threshold = float(warning_threshold)
+    warmup_errors = 30
+    change_threshold = 0.9
+    warning_threshold = 0.95
+
+    def __init__(self):
         self._since = 0
         self._raw = 1.0
         self.level = STABLE

@@ -174,15 +174,6 @@ class GaussianClusters(ConceptFamily):
         if self.spread <= 0:
             raise ConfigError("spread must be positive")
 
-    def class_means(self, phase: float) -> np.ndarray:
-        """Cluster centers (classes x dims) at one concept phase."""
-        out = np.zeros((self.classes, self.dims))
-        for i in range(self.classes):
-            a = phase * self.rotation + 2.0 * math.pi * i / self.classes
-            out[i, 0] = self.radius * math.cos(a)
-            out[i, 1] = self.radius * math.sin(a)
-        return out
-
     def sample(self, rng: np.random.Generator, phases: np.ndarray):
         n = len(phases)
         y = rng.integers(0, self.classes, size=n)
@@ -215,13 +206,6 @@ class RotatingHyperplane(ConceptFamily):
         if not 0.0 <= self.noise < 0.5:
             raise ConfigError("label noise must be in [0, 0.5)")
 
-    def boundary_normal(self, phase: float) -> np.ndarray:
-        a = phase * self.rotation
-        w = np.zeros(self.dims)
-        w[0] = math.cos(a)
-        w[1] = math.sin(a)
-        return w
-
     def sample(self, rng: np.random.Generator, phases: np.ndarray):
         n = len(phases)
         x = rng.uniform(-1.0, 1.0, size=(n, self.dims))
@@ -251,14 +235,6 @@ class SeaThresholds(ConceptFamily):
     def __post_init__(self):
         if not 0.0 <= self.noise < 0.5:
             raise ConfigError("label noise must be in [0, 0.5)")
-
-    def threshold_at(self, phase: float) -> float:
-        t = self.thresholds
-        k = int(math.floor(phase))
-        frac = phase - k
-        lo = t[k % len(t)]
-        hi = t[(k + 1) % len(t)]
-        return lo + frac * (hi - lo)
 
     def sample(self, rng: np.random.Generator, phases: np.ndarray):
         n = len(phases)

@@ -44,7 +44,8 @@ def hoeffding_bound(value_range: float, delta: float, n: int) -> float:
 
     ``delta`` may be exactly 1, collapsing the radius to zero. The
     arguments are unchecked: :class:`HoeffdingTree` passes a range of
-    log2(classes) >= 1, its split confidence in (0, 1) and n >= 1.
+    log2(classes) >= 1, its constant ``split_confidence`` of 1e-7 and
+    n >= 1.
     """
     return math.sqrt(value_range * value_range * math.log(1.0 / delta) / (2.0 * n))
 
@@ -55,19 +56,23 @@ class NaiveBayes:
     Numeric attributes keep running mean and M2 (sum of squared
     deviations) per class, updated by the single-pass moment recurrence;
     the class-conditional density is a Gaussian with variance M2/n,
-    floored at 1e-6. Nominal attributes keep per-category counts with
-    additive smoothing (count + lam) / (total + lam * cardinality).
-    Missing values leave the attribute's statistics untouched on train
-    and contribute no likelihood factor on predict. A class that has
-    observed no values of some numeric attribute contributes a neutral
-    factor for it.
+    floored at ``VARIANCE_FLOOR``. Nominal attributes keep per-category
+    counts with additive smoothing (count + lam) / (total + lam *
+    cardinality), lam = ``smoothing`` (add-one). Missing values leave the
+    attribute's statistics untouched on train and contribute no
+    likelihood factor on predict. A class that has observed no values of
+    some numeric attribute contributes a neutral factor for it.
+
+    Every update is :meth:`_count` (counts and moments) followed by
+    :meth:`_derive` (the log tables predict reads, rebuilt from the
+    counts): :meth:`train` runs both per instance, and an ensemble member
+    built from a chunk counts the chunk, then derives each class once.
     """
 
-    def __init__(self, schema: StreamSchema, smoothing: float = 1.0):
-        if smoothing <= 0.0:
-            raise ConfigError("smoothing constant must be positive")
+    smoothing = 1.0
+
+    def __init__(self, schema: StreamSchema):
         self.schema = schema
-        self.smoothing = float(smoothing)
         self._numeric = tuple(
             i for i, a in enumerate(schema.attributes) if a.kind == NUMERIC
         )
@@ -99,44 +104,11 @@ class NaiveBayes:
         ]
 
     def train(self, features, label):
-        """Add one instance: :meth:`_count` then :meth:`_derive`, in one pass."""
+        """Add one instance: :meth:`_count`, then :meth:`_derive` of its class."""
         if not 0 <= label < self._class_count:
             raise LabelOutOfRange(f"label {label!r} outside [0, {self._class_count})")
-        counts = self.class_counts
-        counts[label] = count = counts[label] + 1
-        self.trained += 1
-        self._log_prior[label] = math.log(count)
-        ns = self._n[label]
-        means = self._mean[label]
-        m2s = self._m2[label]
-        norms = self._log_norm[label]
-        inv2 = self._inv2var[label]
-        for j in self._numeric:
-            v = features[j]
-            if v is MISSING:
-                continue
-            ns[j] = n = ns[j] + 1
-            delta = v - means[j]
-            means[j] = mean = means[j] + delta / n
-            m2s[j] = m2 = m2s[j] + delta * (v - mean)
-            var = m2 / n
-            if var < VARIANCE_FLOOR:
-                var = VARIANCE_FLOOR
-            norms[j] = -0.5 * (LOG_2PI + math.log(var))
-            inv2[j] = 0.5 / var
-        lam = self.smoothing
-        vcounts = self._vcounts[label]
-        totals = self._vtotals[label]
-        liks = self._log_vlik[label]
-        for j in self._nominal:
-            v = features[j]
-            if v is MISSING:
-                continue
-            cells = vcounts[j]
-            cells[v] += 1
-            totals[j] = total = totals[j] + 1
-            log_denom = math.log(total + lam * self._cards[j])
-            liks[j] = [math.log(cnt + lam) - log_denom for cnt in cells]
+        self._count(features, label)
+        self._derive(label)
 
     def _count(self, features, label):
         """Add one instance to the class counts and moments; the derived
@@ -488,7 +460,8 @@ class HoeffdingTree:
     Bayes model trained on the instances that reached that leaf. Every
     ``grace_period`` instances a leaf compares its best and second-best
     candidate split by information gain; it splits when the lead exceeds
-    the Hoeffding radius at range log2(classes), or when the radius has
+    the Hoeffding radius at range log2(classes) and confidence
+    ``split_confidence`` (a fixed 1e-7), or when the radius has
     shrunk under ``tie_threshold`` (only ever for a strictly positive
     gain, so a single-class leaf never splits). Numeric candidates are
     the 63 interior cut points of the classes' merged histogram range,
@@ -498,22 +471,15 @@ class HoeffdingTree:
     candidate.
     """
 
-    def __init__(
-        self,
-        schema: StreamSchema,
-        grace_period: int = 200,
-        split_confidence: float = 1e-7,
-        tie_threshold: float = 0.05,
-    ):
+    split_confidence = 1e-7
+
+    def __init__(self, schema: StreamSchema, grace_period: int = 200, tie_threshold: float = 0.05):
         if grace_period < 1:
             raise ConfigError("grace period must be at least 1")
-        if not 0.0 < split_confidence < 1.0:
-            raise ConfigError("split confidence must lie in (0, 1)")
         if tie_threshold < 0.0:
             raise ConfigError("tie threshold must be nonnegative")
         self.schema = schema
         self.grace_period = int(grace_period)
-        self.split_confidence = float(split_confidence)
         self.tie_threshold = float(tie_threshold)
         self._range = math.log2(schema.class_count)
         self._root = self._new_leaf()

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .core import ClassPosterior, ConfigError, draws
 
 
@@ -80,7 +78,7 @@ class RandomizedAdaptiveConfidence:
     and draws in blocks (:func:`~driftlab.core.draws`), even at ``noise=0``.
     """
 
-    def __init__(self, step: float = 0.01, noise: float = 1.0, rng=None):
+    def __init__(self, step: float = 0.01, noise: float = 1.0, *, rng):
         if not 0.0 < step <= 1.0:
             raise ConfigError("confidence step must lie in (0, 1]")
         if noise < 0.0:
@@ -88,7 +86,6 @@ class RandomizedAdaptiveConfidence:
         self.step = float(step)
         self.noise = float(noise)
         self.confidence = 1.0
-        rng = rng if rng is not None else np.random.default_rng(0)
         self._normal = draws(rng.standard_normal).__next__
 
     def decide(self, posterior: ClassPosterior, run) -> SelfLabelDecision:
@@ -115,10 +112,11 @@ class InformedConfidence:
     ``field`` names the signal, read as ``getattr(run, field)``: one of
     ``query_threshold``, ``error_estimate``, ``similarity`` and
     ``windowed_error``. ``threshold_fn(signal, class_count)`` maps it to
-    the bar, with the class count taken from the posterior. A signal the
-    run loop does not publish (None) is a configuration error: the
-    query threshold, for one, exists only under an adaptive query
-    strategy.
+    the bar, with the class count taken from the posterior. The signal
+    must be published (not None): the run loop always publishes the
+    other three, and ``query_threshold`` exists only under the adaptive
+    ``randvar`` query strategy, which :class:`~driftlab.hybrid.HybridConfig`
+    requires of ``invunc``.
     """
 
     def __init__(self, field: str, threshold_fn):
@@ -126,12 +124,5 @@ class InformedConfidence:
         self.threshold_fn = threshold_fn
 
     def decide(self, posterior: ClassPosterior, run) -> SelfLabelDecision:
-        signal = getattr(run, self.field)
-        if signal is None:
-            raise ConfigError(
-                f"self-labeling on {self.field!r} needs a run loop that"
-                " publishes it; pair query-threshold self-labeling with the"
-                " variable-uncertainty strategy"
-            )
-        bar = self.threshold_fn(signal, len(posterior.probs))
+        bar = self.threshold_fn(getattr(run, self.field), len(posterior.probs))
         return SelfLabelDecision(posterior.top_prob >= bar, bar)

@@ -70,7 +70,7 @@ class TestRandomQuery:
             assert a.decide(posterior(0.99)).query == b.decide(posterior(0.51)).query
 
     def test_publishes_no_adaptive_threshold(self):
-        assert RandomQuery(0.1).adaptive_threshold is None
+        assert RandomQuery(0.1, rng=np.random.default_rng(0)).adaptive_threshold is None
 
 
 class TestSamplingQuery:
@@ -91,7 +91,7 @@ class TestSamplingQuery:
         assert abs(hits / n - 0.5) < 0.01
 
     def test_probability_shrinks_with_margin(self):
-        strat = SamplingQuery(delta=1.0)
+        strat = SamplingQuery(delta=1.0, rng=np.random.default_rng(0))
         wide = strat.decide(ClassPosterior([0.9, 0.1])).threshold
         narrow = strat.decide(ClassPosterior([0.6, 0.4])).threshold
         assert wide == pytest.approx(1.0 / 1.8)
@@ -100,24 +100,24 @@ class TestSamplingQuery:
 
     def test_delta_validation(self):
         with pytest.raises(ConfigError):
-            SamplingQuery(delta=0.0)
+            SamplingQuery(delta=0.0, rng=np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            SamplingQuery(delta=-1.0)
+            SamplingQuery(delta=-1.0, rng=np.random.default_rng(0))
 
     def test_publishes_no_adaptive_threshold(self):
-        assert SamplingQuery().adaptive_threshold is None
+        assert SamplingQuery(rng=np.random.default_rng(0)).adaptive_threshold is None
 
 
 class TestRandomizedVariableUncertainty:
     def test_initial_threshold_is_one(self):
-        strat = RandomizedVariableUncertainty()
+        strat = RandomizedVariableUncertainty(rng=np.random.default_rng(0))
         assert strat.threshold == 1.0
         assert strat.adaptive_threshold == 1.0
 
     def test_deterministic_mode_matches_hand_loop(self):
         # noise=0 removes the jitter: query iff top <= threshold, then
         # threshold moves by the step factor and clamps to [1/c, 1]
-        strat = RandomizedVariableUncertainty(step=0.01, noise=0.0)
+        strat = RandomizedVariableUncertainty(step=0.01, noise=0.0, rng=np.random.default_rng(0))
         rng = np.random.default_rng(42)
         threshold = 1.0
         for _ in range(2000):
@@ -165,14 +165,14 @@ class TestRandomizedVariableUncertainty:
             threshold = strat.threshold
 
     def test_threshold_clamps_to_class_floor(self):
-        strat = RandomizedVariableUncertainty(step=0.5, noise=0.0)
+        strat = RandomizedVariableUncertainty(step=0.5, noise=0.0, rng=np.random.default_rng(0))
         low = ClassPosterior([0.3, 0.25, 0.25, 0.2])
         for _ in range(20):
             strat.decide(low)  # always queries, threshold halves
         assert strat.threshold == 0.25
 
     def test_threshold_clamps_to_one(self):
-        strat = RandomizedVariableUncertainty(step=0.5, noise=0.0)
+        strat = RandomizedVariableUncertainty(step=0.5, noise=0.0, rng=np.random.default_rng(0))
         strat.threshold = 0.6
         sure = posterior(0.99)
         strat.decide(sure)  # no query, threshold grows 0.9
@@ -188,11 +188,11 @@ class TestRandomizedVariableUncertainty:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            RandomizedVariableUncertainty(step=0.0)
+            RandomizedVariableUncertainty(step=0.0, rng=np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            RandomizedVariableUncertainty(step=1.5)
+            RandomizedVariableUncertainty(step=1.5, rng=np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            RandomizedVariableUncertainty(noise=-0.5)
+            RandomizedVariableUncertainty(noise=-0.5, rng=np.random.default_rng(0))
 
 
 def test_decision_repr_mentions_fields():

@@ -280,17 +280,20 @@ class TestCompare:
         ],
         ids=["gradual-without-width", "one-class", "change-past-end", "empty", "negative-seed", "unknown-key"],
     )
-    def test_unloadable_generator_spec_fails_before_any_run(self, spec, message, capsys):
+    def test_unloadable_generator_spec_fails_before_any_run(self, spec, message, capsys, tmp_path):
         # compare used to run every cell, record each as failed and exit 0;
         # each command names its own flag before the generator's message
+        out = tmp_path / "x.csv"
         for flag, argv in (
             ("--streams", ("compare", "--streams", spec, "--budgets", "0.1")),
             ("--stream", ("run", "--stream", spec)),
+            ("--stream", ("generate", "--stream", spec, "--out", str(out))),
         ):
             assert run_cli(*argv) == 2
             captured = capsys.readouterr()
             assert captured.err == f"error: {flag}: {message}\n"
             assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_generator_spec_that_overflows_when_it_generates_ends_the_sweep(self, jobs, capsys):
@@ -363,13 +366,13 @@ class TestGenerate:
         out = tmp_path / "x.csv"
         code = run_cli("generate", "--stream", "gen:kind=sudden,n=100,width=100", "--out", str(out))
         assert code == 2
-        assert capsys.readouterr().err == "error: transition width must be 0 for sudden drift\n"
+        assert capsys.readouterr().err == "error: --stream: transition width must be 0 for sudden drift\n"
         assert not out.exists()
 
     def test_bad_changes_list(self, capsys, tmp_path):
         code = run_cli("generate", "--stream", "gen:n=100,changes=50|mid", "--out", str(tmp_path / "x.csv"))
         assert code == 2
-        assert capsys.readouterr().err == "error: bad value for generator key 'changes': '50|mid'\n"
+        assert capsys.readouterr().err == "error: --stream: bad value for generator key 'changes': '50|mid'\n"
 
     def test_file_path_is_rejected(self, capsys, tmp_path):
         source = tmp_path / "source.csv"
@@ -377,14 +380,14 @@ class TestGenerate:
         out = tmp_path / "x.csv"
         code = run_cli("generate", "--stream", str(source), "--out", str(out))
         assert code == 2
-        assert capsys.readouterr().err == f"error: generate needs a gen: spec, got {str(source)!r}\n"
+        assert capsys.readouterr().err == f"error: --stream: generate needs a gen: spec, got {str(source)!r}\n"
         assert not out.exists()
 
     def test_negative_seed_is_a_setting_error(self, capsys, tmp_path):
         # numpy's default_rng used to end this in a bare ValueError, exit 1
         out = tmp_path / "x.csv"
         assert run_cli("generate", "--stream", "gen:n=300,seed=-1", "--out", str(out)) == 2
-        assert capsys.readouterr().err == "error: generator seed must be at least 0, got -1\n"
+        assert capsys.readouterr().err == "error: --stream: generator seed must be at least 0, got -1\n"
         assert not out.exists()
 
     def test_unwritable_out_is_io_error(self, capsys, tmp_path):

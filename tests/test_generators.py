@@ -140,21 +140,27 @@ class TestGaussianClusters:
             GaussianClusters(spread=0.0)
 
     def test_class_means_at_phase_zero(self):
-        fam = GaussianClusters(classes=2, dims=2, radius=3.0, rotation=0.8)
-        means = fam.class_means(0.0)
-        assert means[0] == pytest.approx([3.0, 0.0])
-        assert means[1] == pytest.approx([-3.0, 0.0], abs=1e-12)
+        # a spread this small puts every sample on its class center
+        fam = GaussianClusters(classes=2, dims=2, radius=3.0, spread=1e-12, rotation=0.8)
+        x, y = fam.sample(np.random.default_rng(0), np.zeros(200))
+        assert set(y.tolist()) == {0, 1}
+        for c, center in ((0, [3.0, 0.0]), (1, [-3.0, 0.0])):
+            assert x[y == c] == pytest.approx(np.tile(center, ((y == c).sum(), 1)), abs=1e-9)
 
     def test_class_means_rotate_with_phase(self):
-        fam = GaussianClusters(radius=3.0, rotation=0.8)
-        means = fam.class_means(1.0)
-        assert means[0] == pytest.approx([3.0 * math.cos(0.8), 3.0 * math.sin(0.8)])
+        fam = GaussianClusters(radius=3.0, spread=1e-12, rotation=0.8)
+        x, y = fam.sample(np.random.default_rng(0), np.ones(200))
+        center = [3.0 * math.cos(0.8), 3.0 * math.sin(0.8)]
+        assert x[y == 0] == pytest.approx(np.tile(center, ((y == 0).sum(), 1)), abs=1e-9)
 
     def test_sample_means_match_oracle(self):
         fam = GaussianClusters(classes=3, dims=4, radius=3.0, spread=1.0, rotation=0.8)
         rng = np.random.default_rng(42)
         x, y = fam.sample(rng, np.zeros(30000))
-        oracle = fam.class_means(0.0)
+        # class i is centered at angle 2*pi*i / classes on the radius-3 circle
+        oracle = np.zeros((3, 4))
+        for c in range(3):
+            oracle[c, :2] = 3.0 * math.cos(2.0 * math.pi * c / 3), 3.0 * math.sin(2.0 * math.pi * c / 3)
         for c in range(3):
             emp = x[y == c].mean(axis=0)
             assert emp == pytest.approx(oracle[c], abs=0.06)
@@ -183,8 +189,9 @@ class TestRotatingHyperplane:
         phases = np.repeat([0.0, 1.0, 2.0], 500)
         x, y = fam.sample(rng, phases)
         for i in range(len(y)):
-            w = fam.boundary_normal(phases[i])
-            assert y[i] == (float(np.dot(w, x[i])) >= 0.0)
+            # the normal is (cos a, sin a, 0, ...) at angle a = phase * rotation
+            a = phases[i] * 0.5
+            assert y[i] == (x[i, 0] * math.cos(a) + x[i, 1] * math.sin(a) >= 0.0)
 
     def test_noise_flips_labels_at_about_the_requested_rate(self):
         clean = RotatingHyperplane(dims=2, rotation=0.0)
@@ -192,19 +199,19 @@ class TestRotatingHyperplane:
         x, y = RotatingHyperplane(dims=2, rotation=0.0, noise=0.2).sample(
             rng, np.zeros(20000)
         )
-        w = clean.boundary_normal(0.0)
-        ideal = (x @ w >= 0.0).astype(int)
+        ideal = (x[:, 0] >= 0.0).astype(int)  # rotation 0: the normal is the first axis
         assert np.mean(y != ideal) == pytest.approx(0.2, abs=0.02)
 
 
 class TestSeaThresholds:
     def test_threshold_interpolation(self):
-        fam = SeaThresholds()
-        assert fam.threshold_at(0.0) == 8.0
-        assert fam.threshold_at(0.5) == pytest.approx(8.5)
-        assert fam.threshold_at(2.0) == 7.0
-        assert fam.threshold_at(3.5) == pytest.approx((9.5 + 8.0) / 2)  # wraps around
-        assert fam.threshold_at(4.0) == 8.0
+        # phase 3.5 wraps around from the last threshold to the first
+        for phase, threshold in ((0.0, 8.0), (0.5, 8.5), (2.0, 7.0), (3.5, (9.5 + 8.0) / 2), (4.0, 8.0)):
+            x, y = SeaThresholds().sample(np.random.default_rng(5), np.full(2000, phase))
+            total = x[:, 0] + x[:, 1]
+            assert y.tolist() == (total <= threshold).astype(int).tolist()
+            # the cut falls between the largest positive and the smallest negative sum
+            assert total[y == 1].max() <= threshold < total[y == 0].min()
 
     def test_labels_follow_threshold_exactly(self):
         fam = SeaThresholds()
@@ -212,7 +219,7 @@ class TestSeaThresholds:
         phases = np.repeat([0.0, 1.0, 2.5], 400)
         x, y = fam.sample(rng, phases)
         for i in range(len(y)):
-            thr = fam.threshold_at(phases[i])
+            thr = {0.0: 8.0, 1.0: 9.0, 2.5: (7.0 + 9.5) / 2}[phases[i]]
             assert y[i] == (x[i, 0] + x[i, 1] <= thr)
 
     def test_noise_validation(self):

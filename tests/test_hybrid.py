@@ -278,7 +278,7 @@ class TestProcessOrdering:
         # the self-label gate must see the query threshold as updated by
         # this step's query decision, not the previous step's value
         probe = RecordingSelfLabel()
-        active = RandomizedVariableUncertainty(noise=0.0)
+        active = RandomizedVariableUncertainty(noise=0.0, rng=np.random.default_rng(0))
         runner = HybridRunner(SCHEMA, OracleLearner(), active, probe, budget=1.0)
         stream = toy_stream([1, 1, 1, 1, 1])
         for instance in stream.instances:
@@ -384,7 +384,7 @@ class TestBudgetSafety:
             assert summary.final_spend == 0.0
 
     def test_full_budget_first_instance_queried_without_jitter(self):
-        active = RandomizedVariableUncertainty(noise=0.0)
+        active = RandomizedVariableUncertainty(noise=0.0, rng=np.random.default_rng(0))
         runner = HybridRunner(SCHEMA, OracleLearner(), active, None, budget=1.0)
         record = runner.process_instance(toy_stream([0]).instances[0])
         assert record.action == "queried"

@@ -9,7 +9,6 @@ from driftlab.core import NUMERIC, Attribute, ClassPosterior, ConfigError, Strea
 from driftlab.hybrid import SELF_LABEL, HybridConfig, build_runner
 from driftlab.selflabel import (
     FixedConfidence,
-    InformedConfidence,
     RandomizedAdaptiveConfidence,
     error_scaled_threshold,
     inverted_uncertainty_threshold,
@@ -193,7 +192,7 @@ class TestAdaptiveConfidence:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            RandomizedAdaptiveConfidence(step=0.0)
+            RandomizedAdaptiveConfidence(step=0.0, rng=np.random.default_rng(0))
 
 
 class TestRandomizedAdaptiveConfidence:
@@ -272,9 +271,9 @@ class TestRandomizedAdaptiveConfidence:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            RandomizedAdaptiveConfidence(step=2.0)
+            RandomizedAdaptiveConfidence(step=2.0, rng=np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            RandomizedAdaptiveConfidence(noise=-1.0)
+            RandomizedAdaptiveConfidence(noise=-1.0, rng=np.random.default_rng(0))
 
 
 class TestInformedStrategies:
@@ -284,16 +283,6 @@ class TestInformedStrategies:
         assert strat.decide(posterior(0.85), fb).train
         assert not strat.decide(posterior(0.8499), fb).train
         assert strat.decide(posterior(0.9), fb).threshold == pytest.approx(0.85)
-
-    def test_inverted_uncertainty_needs_published_threshold(self):
-        strat = informed("invunc")
-        with pytest.raises(ConfigError):
-            strat.decide(posterior(0.9), run(query_threshold=None))
-
-    def test_unpublished_signal_is_config_error(self):
-        strat = InformedConfidence("similarity", similarity_scaled_threshold)
-        with pytest.raises(ConfigError, match="similarity"):
-            strat.decide(posterior(0.9), run(similarity=None))
 
     def test_error_scaled_uses_detector_estimate(self):
         strat = informed("cddm")
