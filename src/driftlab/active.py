@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import ClassPosterior, ConfigError, draws
+from .core import ClassPosterior, draws
 
 
 class QueryDecision(NamedTuple):
@@ -42,16 +42,14 @@ class RandomQuery:
 class SamplingQuery:
     """Margin-driven selective sampling.
 
-    Queries with probability delta / (delta + margin), so tied top
-    classes are always bought and confident predictions rarely.
+    Queries with probability delta / (delta + margin), ``delta`` being
+    1.0, so tied top classes are always bought and confident ones rarely.
     """
 
     adaptive_threshold = None
+    delta = 1.0
 
-    def __init__(self, delta: float = 1.0, *, rng):
-        if delta <= 0.0:
-            raise ConfigError("sampling delta must be positive")
-        self.delta = float(delta)
+    def __init__(self, *, rng):
         self._uniform = draws(rng.random).__next__
 
     def decide(self, posterior: ClassPosterior) -> QueryDecision:
@@ -67,18 +65,15 @@ class RandomizedVariableUncertainty:
     factor eta ~ Normal(1, noise) and queries iff the top posterior is
     at most threshold * eta; buying a label tightens the threshold by
     the step factor, passing loosens it, and the threshold is clamped to
-    [1/classes, 1]. With ``noise=0`` this is the plain deterministic
-    variable-uncertainty rule. A negative eta draw simply means "don't
+    [1/classes, 1]; ``step`` is 0.01 and ``noise`` 1.0. With ``noise = 0``
+    this is the plain deterministic variable-uncertainty rule. A negative eta draw simply means "don't
     query" since no posterior is negative.
     """
 
-    def __init__(self, step: float = 0.01, noise: float = 1.0, *, rng):
-        if not 0.0 < step <= 1.0:
-            raise ConfigError("threshold step must lie in (0, 1]")
-        if noise < 0.0:
-            raise ConfigError("randomization scale must be nonnegative")
-        self.step = float(step)
-        self.noise = float(noise)
+    step = 0.01
+    noise = 1.0
+
+    def __init__(self, *, rng):
         self.threshold = 1.0
         self._normal = draws(rng.standard_normal).__next__
 

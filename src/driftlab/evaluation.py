@@ -22,7 +22,7 @@ class PrequentialWindow:
     window length (at least 1) is checked by ``HybridConfig``."""
 
     def __init__(self, window: int):
-        self.window = int(window)
+        self.window = window
         self._losses = deque(maxlen=self.window)
         self._sum = 0
 
@@ -173,7 +173,7 @@ def to_text(report: ComparisonReport) -> str:
     lines = []
     for (stream, learner), rows in groups.items():
         lines.append(f"stream={stream} learner={learner}")
-        header = ["strategy".ljust(18)] + [f"B={b:g}".rjust(12) for b in budgets]
+        header = ["strategy".ljust(18)] + [f"B={b!r}".rjust(12) for b in budgets]
         lines.append("  " + " ".join(header))
         for strategy, by_budget in rows.items():
             row = [strategy.ljust(18)]
@@ -190,7 +190,7 @@ def to_text(report: ComparisonReport) -> str:
     for cell in report.failures:
         lines.append(
             f"failed: stream={cell.stream} learner={cell.learner}"
-            f" strategy={cell.strategy} B={cell.budget:g}: {cell.error}"
+            f" strategy={cell.strategy} B={cell.budget!r}: {cell.error}"
         )
     lines.append(
         f"Acc={report.acc * 100:.2f} Fh={report.fh:.3f}"

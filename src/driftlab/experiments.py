@@ -133,8 +133,9 @@ def _run_cell(task):
     """
     row, seed = task
     try:
+        config = replace(row.config, seed=seed)
         stream = _load_stream(row.stream, seed)
-        _, summary = run_stream(stream, replace(row.config, seed=seed))
+        _, summary = run_stream(stream, config)
         return (summary.accuracy, summary.final_spend, None)
     except (OSError, ConfigError):
         raise

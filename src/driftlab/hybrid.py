@@ -19,6 +19,7 @@ needs; step records read the same properties.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -49,11 +50,11 @@ class EmptyStream(DriftLabError):
 
 # One name -> factory registry per component kind. Validation, CLI
 # choices and grid defaults all read these; adding a component means
-# adding one entry here.
+# adding one entry here. A learner's factory is its class.
 LEARNERS = {
-    "nb": lambda schema: NaiveBayes(schema),
-    "ht": lambda schema: HoeffdingTree(schema),
-    "awe": lambda schema: AccuracyWeightedEnsemble(schema),
+    "nb": NaiveBayes,
+    "ht": HoeffdingTree,
+    "awe": AccuracyWeightedEnsemble,
 }
 ACTIVE = {
     "random": lambda budget, rng: RandomQuery(budget, rng=rng),
@@ -64,8 +65,8 @@ SELF_LABEL = {
     "none": None,
     "fixed": lambda rng: FixedConfidence(),
     # zero jitter walks the plain adaptive bar exactly
-    "uni": lambda rng: RandomizedAdaptiveConfidence(noise=0.0, rng=rng),
-    "randuni": lambda rng: RandomizedAdaptiveConfidence(rng=rng),
+    "uni": lambda rng: RandomizedAdaptiveConfidence(0.0, rng=rng),
+    "randuni": lambda rng: RandomizedAdaptiveConfidence(1.0, rng=rng),
     "invunc": lambda rng: InformedConfidence(
         "query_threshold", inverted_uncertainty_threshold
     ),
@@ -98,10 +99,15 @@ class HybridConfig:
                 )
         if not 0.0 <= self.budget <= 1.0:
             raise ConfigError("budget must lie in [0, 1]")
-        if self.window < 1:
-            raise ConfigError("window must be at least 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be at least 0")
+        for name, least in (("window", 1), ("seed", 0)):
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, value)  # a plain int, as JSON writes it
+            if value < least:
+                raise ConfigError(f"{name} must be at least {least}")
         if self.self_label == "invunc" and self.active != "randvar":
             raise ConfigError(
                 "self_label 'invunc' needs the adaptive threshold that only"

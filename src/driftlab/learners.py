@@ -458,11 +458,11 @@ class HoeffdingTree:
     Leaves carry full Naive Bayes models: prediction is the posterior of
     the leaf an instance routes to, so the tree answers exactly like a
     Bayes model trained on the instances that reached that leaf. Every
-    ``grace_period`` instances a leaf compares its best and second-best
-    candidate split by information gain; it splits when the lead exceeds
-    the Hoeffding radius at range log2(classes) and confidence
-    ``split_confidence`` (a fixed 1e-7), or when the radius has
-    shrunk under ``tie_threshold`` (only ever for a strictly positive
+    ``grace_period`` (200) instances a leaf compares its best and
+    second-best candidate split by information gain; it splits when the
+    lead exceeds the Hoeffding radius at range log2(classes) and
+    confidence ``split_confidence`` (1e-7), or when the radius has shrunk
+    under ``tie_threshold`` (0.05; only ever for a strictly positive
     gain, so a single-class leaf never splits). Numeric candidates are
     the 63 interior cut points of the classes' merged histogram range,
     scored for every numeric attribute in one array pass per split
@@ -471,16 +471,12 @@ class HoeffdingTree:
     candidate.
     """
 
+    grace_period = 200
     split_confidence = 1e-7
+    tie_threshold = 0.05
 
-    def __init__(self, schema: StreamSchema, grace_period: int = 200, tie_threshold: float = 0.05):
-        if grace_period < 1:
-            raise ConfigError("grace period must be at least 1")
-        if tie_threshold < 0.0:
-            raise ConfigError("tie threshold must be nonnegative")
+    def __init__(self, schema: StreamSchema):
         self.schema = schema
-        self.grace_period = int(grace_period)
-        self.tie_threshold = float(tie_threshold)
         self._range = math.log2(schema.class_count)
         self._root = self._new_leaf()
         self.n_splits = 0
@@ -681,10 +677,11 @@ class _BayesStack:
 class AccuracyWeightedEnsemble:
     """Chunk-trained committee weighted by per-chunk accuracy.
 
-    Labeled instances accumulate in a buffer; each full chunk trains a
-    fresh Naive Bayes member, re-weights every member by its accuracy on
-    that chunk, evicts the lowest-weight member once the committee
-    exceeds capacity (first such member on ties), and clears the buffer.
+    Labeled instances accumulate in a buffer; each full ``chunk_size``
+    (500) chunk trains a fresh Naive Bayes member, re-weights every member
+    by its accuracy on that chunk, evicts the lowest-weight member once
+    the committee exceeds ``capacity`` (10; first such on ties), and
+    clears the buffer.
     Prediction is the weight-normalized average of member posteriors,
     uniform while the committee is empty, and a plain average if all
     weights have decayed to zero.
@@ -704,19 +701,11 @@ class AccuracyWeightedEnsemble:
     accuracy by cross-validation on the chunk instead.
     """
 
-    def __init__(
-        self,
-        schema: StreamSchema,
-        chunk_size: int = 500,
-        capacity: int = 10,
-    ):
-        if chunk_size < 1:
-            raise ConfigError("chunk size must be at least 1")
-        if capacity < 1:
-            raise ConfigError("ensemble capacity must be at least 1")
+    chunk_size = 500
+    capacity = 10
+
+    def __init__(self, schema: StreamSchema):
         self.schema = schema
-        self.chunk_size = int(chunk_size)
-        self.capacity = int(capacity)
         self.members = []
         self._buffer = []
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import ClassPosterior, ConfigError, draws
+from .core import ClassPosterior, draws
 
 
 class SelfLabelDecision(NamedTuple):
@@ -56,12 +56,9 @@ def similarity_scaled_threshold(similarity: float, class_count: int) -> float:
 
 
 class FixedConfidence:
-    """Self-label whenever the top posterior clears a fixed bar."""
+    """Self-label whenever the top posterior clears ``confidence`` (0.95)."""
 
-    def __init__(self, confidence: float = 0.95):
-        if not 0.0 < confidence <= 1.0:
-            raise ConfigError("confidence must lie in (0, 1]")
-        self.confidence = float(confidence)
+    confidence = 0.95
 
     def decide(self, posterior: ClassPosterior, run) -> SelfLabelDecision:
         return SelfLabelDecision(posterior.top_prob >= self.confidence, self.confidence)
@@ -73,18 +70,15 @@ class RandomizedAdaptiveConfidence:
     Draws one factor per decision, compares the top posterior against
     the jittered bar, and adjusts the underlying bar according to the
     jittered outcome. ``noise=0`` gives the plain adaptive rule: every
-    accepted self-label raises the bar by the step factor and every
+    accepted self-label raises the bar by ``step`` (0.01) and every
     rejection lowers it, clamped to [1/classes, 1]. It owns its generator
     and draws in blocks (:func:`~driftlab.core.draws`), even at ``noise=0``.
     """
 
-    def __init__(self, step: float = 0.01, noise: float = 1.0, *, rng):
-        if not 0.0 < step <= 1.0:
-            raise ConfigError("confidence step must lie in (0, 1]")
-        if noise < 0.0:
-            raise ConfigError("randomization scale must be nonnegative")
-        self.step = float(step)
-        self.noise = float(noise)
+    step = 0.01
+
+    def __init__(self, noise: float, *, rng):
+        self.noise = noise
         self.confidence = 1.0
         self._normal = draws(rng.standard_normal).__next__
 

@@ -372,7 +372,8 @@ def test_06_adaptive_thresholds_bounded_and_jitter_free_equivalence(sweep):
     # the deterministic uncertainty rule step for step
     rng = np.random.default_rng(31)
     tops = rng.uniform(0.5, 1.0, size=10_000)
-    strategy = RandomizedVariableUncertainty(noise=0.0, rng=np.random.default_rng(1))
+    strategy = RandomizedVariableUncertainty(rng=np.random.default_rng(1))
+    strategy.noise = 0.0
     theta = 1.0
     for top in tops:
         posterior = ClassPosterior([top, 1.0 - top])
@@ -387,7 +388,7 @@ def test_06_adaptive_thresholds_bounded_and_jitter_free_equivalence(sweep):
         assert strategy.threshold == theta
 
     # and the randomized confidence rule must walk the adaptive one
-    randomized = RandomizedAdaptiveConfidence(noise=0.0, rng=np.random.default_rng(2))
+    randomized = RandomizedAdaptiveConfidence(0.0, rng=np.random.default_rng(2))
     gamma = 1.0
     for top in tops:
         posterior = ClassPosterior([top, 1.0 - top])

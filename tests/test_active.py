@@ -7,7 +7,7 @@ from driftlab.active import (
     RandomizedVariableUncertainty,
     SamplingQuery,
 )
-from driftlab.core import ClassPosterior, ConfigError
+from driftlab.core import ClassPosterior
 
 
 class FakeRng:
@@ -84,25 +84,19 @@ class TestSamplingQuery:
 
     def test_probability_formula(self):
         # margin 1 with delta 1 -> query probability exactly 0.5
-        strat = SamplingQuery(delta=1.0, rng=np.random.default_rng(11))
+        strat = SamplingQuery(rng=np.random.default_rng(11))
         certain = ClassPosterior([1.0, 0.0])
         n = 50_000
         hits = sum(strat.decide(certain).query for _ in range(n))
         assert abs(hits / n - 0.5) < 0.01
 
     def test_probability_shrinks_with_margin(self):
-        strat = SamplingQuery(delta=1.0, rng=np.random.default_rng(0))
+        strat = SamplingQuery(rng=np.random.default_rng(0))
         wide = strat.decide(ClassPosterior([0.9, 0.1])).threshold
         narrow = strat.decide(ClassPosterior([0.6, 0.4])).threshold
         assert wide == pytest.approx(1.0 / 1.8)
         assert narrow == pytest.approx(1.0 / 1.2)
         assert wide < narrow
-
-    def test_delta_validation(self):
-        with pytest.raises(ConfigError):
-            SamplingQuery(delta=0.0, rng=np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            SamplingQuery(delta=-1.0, rng=np.random.default_rng(0))
 
     def test_publishes_no_adaptive_threshold(self):
         assert SamplingQuery(rng=np.random.default_rng(0)).adaptive_threshold is None
@@ -117,7 +111,8 @@ class TestRandomizedVariableUncertainty:
     def test_deterministic_mode_matches_hand_loop(self):
         # noise=0 removes the jitter: query iff top <= threshold, then
         # threshold moves by the step factor and clamps to [1/c, 1]
-        strat = RandomizedVariableUncertainty(step=0.01, noise=0.0, rng=np.random.default_rng(0))
+        strat = RandomizedVariableUncertainty(rng=np.random.default_rng(0))
+        strat.noise = 0.0
         rng = np.random.default_rng(42)
         threshold = 1.0
         for _ in range(2000):
@@ -136,7 +131,7 @@ class TestRandomizedVariableUncertainty:
 
     def test_threshold_used_is_prior_value_times_eta(self):
         draws = [0.5, -0.25]
-        strat = RandomizedVariableUncertainty(step=0.01, noise=1.0, rng=FakeRng(draws))
+        strat = RandomizedVariableUncertainty(rng=FakeRng(draws))
         p = posterior(0.9)
         d1 = strat.decide(p)
         assert d1.threshold == pytest.approx(1.0 * 1.5)
@@ -148,7 +143,7 @@ class TestRandomizedVariableUncertainty:
         assert strat.threshold == pytest.approx(0.99 * 1.01)
 
     def test_negative_eta_never_queries(self):
-        strat = RandomizedVariableUncertainty(noise=1.0, rng=FakeRng([-2.0]))
+        strat = RandomizedVariableUncertainty(rng=FakeRng([-2.0]))
         d = strat.decide(posterior(0.5))
         assert d.threshold == pytest.approx(-1.0)
         assert not d.query
@@ -165,14 +160,16 @@ class TestRandomizedVariableUncertainty:
             threshold = strat.threshold
 
     def test_threshold_clamps_to_class_floor(self):
-        strat = RandomizedVariableUncertainty(step=0.5, noise=0.0, rng=np.random.default_rng(0))
+        strat = RandomizedVariableUncertainty(rng=np.random.default_rng(0))
+        strat.step, strat.noise = 0.5, 0.0
         low = ClassPosterior([0.3, 0.25, 0.25, 0.2])
         for _ in range(20):
             strat.decide(low)  # always queries, threshold halves
         assert strat.threshold == 0.25
 
     def test_threshold_clamps_to_one(self):
-        strat = RandomizedVariableUncertainty(step=0.5, noise=0.0, rng=np.random.default_rng(0))
+        strat = RandomizedVariableUncertainty(rng=np.random.default_rng(0))
+        strat.step, strat.noise = 0.5, 0.0
         strat.threshold = 0.6
         sure = posterior(0.99)
         strat.decide(sure)  # no query, threshold grows 0.9
@@ -185,14 +182,6 @@ class TestRandomizedVariableUncertainty:
         for _ in range(5000):
             strat.decide(posterior(rng.uniform(1 / 3, 1.0), n_classes=3))
             assert 1 / 3 <= strat.threshold <= 1.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            RandomizedVariableUncertainty(step=0.0, rng=np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            RandomizedVariableUncertainty(step=1.5, rng=np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            RandomizedVariableUncertainty(noise=-0.5, rng=np.random.default_rng(0))
 
 
 def test_decision_repr_mentions_fields():

@@ -57,7 +57,8 @@ def test_random_query(budget):
 
 @pytest.mark.parametrize("delta", [0.1, 1.0])
 def test_sampling_query(delta):
-    strategy = SamplingQuery(delta, rng=np.random.default_rng([12, 0]))
+    strategy = SamplingQuery(rng=np.random.default_rng([12, 0]))
+    strategy.delta = delta
     scalar = np.random.default_rng([12, 0])
     for post in posteriors():
         p = delta / (delta + (post.top_prob - post.second_prob))
@@ -68,7 +69,8 @@ def test_sampling_query(delta):
 
 @pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
 def test_randomized_variable_uncertainty(noise):
-    strategy = RandomizedVariableUncertainty(step=0.02, noise=noise, rng=np.random.default_rng([13, 0]))
+    strategy = RandomizedVariableUncertainty(rng=np.random.default_rng([13, 0]))
+    strategy.step, strategy.noise = 0.02, noise
     scalar = np.random.default_rng([13, 0])
     threshold = 1.0
     for post in posteriors():
@@ -83,7 +85,8 @@ def test_randomized_variable_uncertainty(noise):
 
 @pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
 def test_randomized_adaptive_confidence(noise):
-    strategy = RandomizedAdaptiveConfidence(step=0.02, noise=noise, rng=np.random.default_rng([14, 1]))
+    strategy = RandomizedAdaptiveConfidence(noise, rng=np.random.default_rng([14, 1]))
+    strategy.step = 0.02
     scalar = np.random.default_rng([14, 1])
     bar = 1.0
     for post in posteriors():

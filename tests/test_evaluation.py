@@ -187,6 +187,20 @@ class TestSerialization:
         assert "failed:" in text and "boom" in text
         assert "Fh=1.000" in text
 
+    def test_text_labels_tell_close_budgets_apart(self):
+        # :g printed 0.1 and 0.1000000001 as the same B=0.1 column
+        report = build_report(
+            [
+                cell("randvar", 0.8, hybrid=False, budget=0.1),
+                cell("randvar", 0.9, hybrid=False, budget=0.1000000001),
+                cell("randvar", 0.7, hybrid=False, budget=1.0),
+                cell("randvar+bad", 0.0, budget=0.1000000001, error="boom"),
+            ]
+        )
+        lines = to_text(report).splitlines()
+        assert lines[1].split()[1:] == ["B=0.1", "B=0.1000000001", "B=1.0"]
+        assert "strategy=randvar+bad B=0.1000000001: boom" in lines[-2]
+
     def test_text_missing_budget_cell(self):
         report = build_report(
             [

@@ -39,6 +39,8 @@ class TestGridSpec:
             GridSpec(streams=(stream,), budgets=(1.5,))
         with pytest.raises(ConfigError, match="window"):
             GridSpec(streams=(stream,), window=0)
+        with pytest.raises(ConfigError, match="^window must be an integer, got 2.5$"):
+            GridSpec(streams=(stream,), window=2.5)
         # no rows would leave the unknown learner unchecked
         with pytest.raises(ConfigError, match="no rows"):
             GridSpec(streams=(stream,), learners=("gbm",), budgets=())
@@ -168,6 +170,17 @@ class TestRunGrid:
         with pytest.raises(FileNotFoundError):
             run_grid(spec)
         assert experiments._stream_cache == {}
+
+    @pytest.mark.parametrize("seeded", [True, False], ids=["pinned", "unpinned"])
+    def test_fractional_seed_ends_the_grid(self, seeded):
+        # every cell used to fail with numpy's "seed must be integer"; an
+        # unpinned generator spec met the bad seed first, when it loaded
+        stream = tiny_stream() if seeded else parse_stream_spec("gen:n=60")
+        spec = GridSpec(
+            streams=(stream,), active=("random",), self_label=(), budgets=(0.1,), seeds=(0.5,)
+        )
+        with pytest.raises(ConfigError, match="^seed must be an integer, got 0.5$"):
+            run_grid(spec)
 
     def test_stream_cache_is_emptied_after_a_grid(self):
         spec = GridSpec(

@@ -184,6 +184,22 @@ class TestHybridConfig:
         with pytest.raises(ConfigError):
             HybridConfig(learner="nb", active="randvar", window=0)
 
+    @pytest.mark.parametrize(
+        "setting, value",
+        [("window", 1.7), ("window", 2.0), ("window", "10"), ("seed", 1.5), ("seed", None)],
+    )
+    def test_window_and_seed_must_be_integers(self, setting, value):
+        # a fractional window used to run truncated while to_dict kept the
+        # fraction, and a fractional seed failed only inside numpy
+        with pytest.raises(ConfigError, match=f"^{setting} must be an integer, got {value!r}$"):
+            HybridConfig(learner="nb", active="random", **{setting: value})
+
+    def test_integer_likes_are_stored_as_int(self):
+        config = HybridConfig(learner="nb", active="random", window=np.int64(50), seed=np.uint8(3))
+        assert type(config.window) is int and type(config.seed) is int
+        assert config == HybridConfig(learner="nb", active="random", window=50, seed=3)
+        assert build_runner(SCHEMA, config).evaluation.window == 50
+
     def test_to_dict_round_trip(self):
         config = HybridConfig(
             learner="ht", active="sampling", self_label="uni", budget=0.2, seed=7
@@ -278,7 +294,8 @@ class TestProcessOrdering:
         # the self-label gate must see the query threshold as updated by
         # this step's query decision, not the previous step's value
         probe = RecordingSelfLabel()
-        active = RandomizedVariableUncertainty(noise=0.0, rng=np.random.default_rng(0))
+        active = RandomizedVariableUncertainty(rng=np.random.default_rng(0))
+        active.noise = 0.0
         runner = HybridRunner(SCHEMA, OracleLearner(), active, probe, budget=1.0)
         stream = toy_stream([1, 1, 1, 1, 1])
         for instance in stream.instances:
@@ -384,7 +401,8 @@ class TestBudgetSafety:
             assert summary.final_spend == 0.0
 
     def test_full_budget_first_instance_queried_without_jitter(self):
-        active = RandomizedVariableUncertainty(noise=0.0, rng=np.random.default_rng(0))
+        active = RandomizedVariableUncertainty(rng=np.random.default_rng(0))
+        active.noise = 0.0
         runner = HybridRunner(SCHEMA, OracleLearner(), active, None, budget=1.0)
         record = runner.process_instance(toy_stream([0]).instances[0])
         assert record.action == "queried"

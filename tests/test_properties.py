@@ -76,12 +76,18 @@ def streams(draw, max_size=80):
     return schema, draw(st.lists(instance, min_size=1, max_size=max_size))
 
 
+class SmallTree(HoeffdingTree):
+    grace_period = 5
+    tie_threshold = 0.5
+
+
+class SmallEnsemble(AccuracyWeightedEnsemble):
+    chunk_size = 4
+    capacity = 3
+
+
 # small chunks and grace periods, so ensembles close chunks and trees split
-SMALL_LEARNERS = {
-    "nb": lambda schema: NaiveBayes(schema),
-    "ht": lambda schema: HoeffdingTree(schema, grace_period=5, tie_threshold=0.5),
-    "awe": lambda schema: AccuracyWeightedEnsemble(schema, chunk_size=4, capacity=3),
-}
+SMALL_LEARNERS = {"nb": NaiveBayes, "ht": SmallTree, "awe": SmallEnsemble}
 
 
 @settings(max_examples=80, deadline=None)

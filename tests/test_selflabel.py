@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from driftlab.core import NUMERIC, Attribute, ClassPosterior, ConfigError, StreamSchema
+from driftlab.core import NUMERIC, Attribute, ClassPosterior, StreamSchema
 from driftlab.hybrid import SELF_LABEL, HybridConfig, build_runner
 from driftlab.selflabel import (
     FixedConfidence,
@@ -18,9 +18,9 @@ from driftlab.selflabel import (
 
 def adaptive(step=0.01):
     """The ``uni`` policy: the adaptive bar with its jitter switched off."""
-    return RandomizedAdaptiveConfidence(
-        step=step, noise=0.0, rng=np.random.default_rng(0)
-    )
+    strat = RandomizedAdaptiveConfidence(0.0, rng=np.random.default_rng(0))
+    strat.step = step
+    return strat
 
 
 def informed(name):
@@ -121,7 +121,7 @@ class TestThresholdFunctions:
 
 class TestFixedConfidence:
     def test_inclusive_boundary(self):
-        strat = FixedConfidence(0.95)
+        strat = FixedConfidence()
         fb = run()
         assert strat.decide(posterior(0.95), fb).train
         assert not strat.decide(posterior(0.9499), fb).train
@@ -130,20 +130,15 @@ class TestFixedConfidence:
         assert FixedConfidence().confidence == 0.95
 
     def test_reports_bar(self):
-        d = FixedConfidence(0.9).decide(posterior(0.99), run())
+        strat = FixedConfidence()
+        strat.confidence = 0.9
+        d = strat.decide(posterior(0.99), run())
         assert d.threshold == 0.9
 
     def test_never_reads_feedback(self):
         strat = FixedConfidence()
         d = strat.decide(posterior(0.99), ExplodingRun())
         assert d.train
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            FixedConfidence(0.0)
-        with pytest.raises(ConfigError):
-            FixedConfidence(1.0001)
-
 
 class TestAdaptiveConfidence:
     def test_starts_fully_strict(self):
@@ -190,11 +185,6 @@ class TestAdaptiveConfidence:
         strat = adaptive()
         strat.decide(posterior(0.7), ExplodingRun())
 
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            RandomizedAdaptiveConfidence(step=0.0, rng=np.random.default_rng(0))
-
-
 class TestRandomizedAdaptiveConfidence:
     class FakeRng:
         def __init__(self, normals):
@@ -210,14 +200,14 @@ class TestRandomizedAdaptiveConfidence:
 
     def test_jittered_bar_drives_decision_and_update(self):
         # eta = 6 puts the bar far above any posterior: reject and lower
-        strat = RandomizedAdaptiveConfidence(step=0.01, rng=self.FakeRng([5.0]))
+        strat = RandomizedAdaptiveConfidence(1.0, rng=self.FakeRng([5.0]))
         d = strat.decide(posterior(1.0), run())
         assert not d.train
         assert d.threshold == pytest.approx(6.0)
         assert strat.confidence == pytest.approx(0.99)
 
     def test_negative_eta_accepts_anything(self):
-        strat = RandomizedAdaptiveConfidence(step=0.01, rng=self.FakeRng([-2.0]))
+        strat = RandomizedAdaptiveConfidence(1.0, rng=self.FakeRng([-2.0]))
         d = strat.decide(posterior(0.51), run())
         assert d.train
         assert d.threshold == pytest.approx(-1.0)
@@ -226,9 +216,7 @@ class TestRandomizedAdaptiveConfidence:
     def test_zero_noise_matches_plain_adaptive(self):
         # zero jitter must walk the plain adaptive rule step for step,
         # clamped to the three-class floor of 1/3
-        randomized = RandomizedAdaptiveConfidence(
-            step=0.01, noise=0.0, rng=np.random.default_rng(0)
-        )
+        randomized = RandomizedAdaptiveConfidence(0.0, rng=np.random.default_rng(0))
         rng = np.random.default_rng(17)
         fb = run()
         bar = 1.0
@@ -244,7 +232,7 @@ class TestRandomizedAdaptiveConfidence:
     def test_acceptance_rate_matches_gaussian_tail(self):
         # fresh bar of 1 and top 0.8: accept iff eta <= 0.8, so the rate
         # is the standard normal CDF at -0.2 (frozen reference value)
-        strat = RandomizedAdaptiveConfidence(rng=np.random.default_rng(23))
+        strat = RandomizedAdaptiveConfidence(1.0, rng=np.random.default_rng(23))
         p = posterior(0.8)
         fb = run()
         n = 20_000
@@ -257,7 +245,7 @@ class TestRandomizedAdaptiveConfidence:
 
     def test_one_draw_per_decision(self):
         seed = 31
-        strat = RandomizedAdaptiveConfidence(rng=np.random.default_rng(seed))
+        strat = RandomizedAdaptiveConfidence(1.0, rng=np.random.default_rng(seed))
         replay = np.random.default_rng(seed).standard_normal(50)
         fb = run()
         for offset in replay:
@@ -266,15 +254,8 @@ class TestRandomizedAdaptiveConfidence:
             assert d.threshold == pytest.approx(bar * (1.0 + offset))
 
     def test_never_reads_feedback(self):
-        strat = RandomizedAdaptiveConfidence(rng=np.random.default_rng(1))
+        strat = RandomizedAdaptiveConfidence(1.0, rng=np.random.default_rng(1))
         strat.decide(posterior(0.7), ExplodingRun())
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            RandomizedAdaptiveConfidence(step=2.0, rng=np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            RandomizedAdaptiveConfidence(noise=-1.0, rng=np.random.default_rng(0))
-
 
 class TestInformedStrategies:
     def test_inverted_uncertainty_boundary(self):
