@@ -1,12 +1,6 @@
 """Budget-aware online stream classification with active and self-labeling."""
 
-from .core import (
-    ClassPosterior,
-    ConfigError,
-    DriftLabError,
-    SchemaMismatch,
-    UnknownClass,
-)
+from .core import ClassPosterior, ConfigError, DriftLabError, SchemaMismatch
 from .experiments import GridSpec, run_grid
 from .generators import DriftProfile, gen_drift_stream
 from .hybrid import HybridConfig, HybridRunner, RunSummary, build_runner, run_stream
@@ -24,7 +18,6 @@ __all__ = [
     "HybridRunner",
     "RunSummary",
     "SchemaMismatch",
-    "UnknownClass",
     "build_runner",
     "gen_drift_stream",
     "parse_stream_spec",

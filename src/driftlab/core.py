@@ -24,15 +24,11 @@ class DriftLabError(Exception):
 
 
 class SchemaMismatch(DriftLabError):
-    """Row arity or a feature value disagrees with the schema."""
-
-
-class UnknownClass(DriftLabError):
-    """Class label not present in the schema's class list."""
+    """Stream data is malformed, empty, or disagrees with its schema."""
 
 
 class ConfigError(DriftLabError):
-    """Invalid or inconsistent run configuration."""
+    """A setting or spec that no run can take."""
 
 
 class InvalidPosterior(DriftLabError, ValueError):
@@ -59,6 +55,8 @@ class Attribute:
             raise ValueError(f"nominal attribute {self.name!r} needs category names")
         if self.kind == NUMERIC and self.values:
             raise ValueError(f"numeric attribute {self.name!r} cannot have categories")
+        if len(set(self.values)) != len(self.values):
+            raise ValueError(f"attribute {self.name!r} repeats a category name")
         if not isinstance(self.values, tuple):
             object.__setattr__(self, "values", tuple(self.values))
 
@@ -81,6 +79,8 @@ class StreamSchema:
             object.__setattr__(self, "class_names", tuple(self.class_names))
         if len(self.class_names) < 2:
             raise ValueError("a stream schema needs at least two classes")
+        if len(set(self.class_names)) != len(self.class_names):
+            raise ValueError("class names must be unique")
         names = [a.name for a in self.attributes]
         if len(set(names)) != len(names):
             raise ValueError("attribute names must be unique")

@@ -165,6 +165,8 @@ def to_text(report: ComparisonReport) -> str:
     groups = {}
     scored = report.scored
     budgets = sorted({cell.budget for cell in scored})
+    labels = [f"B={b!r}" for b in budgets]
+    width = max([12] + [len(label) for label in labels])
     for cell in scored:
         groups.setdefault((cell.stream, cell.learner), {}).setdefault(
             cell.strategy, {}
@@ -173,18 +175,18 @@ def to_text(report: ComparisonReport) -> str:
     lines = []
     for (stream, learner), rows in groups.items():
         lines.append(f"stream={stream} learner={learner}")
-        header = ["strategy".ljust(18)] + [f"B={b!r}".rjust(12) for b in budgets]
+        header = ["strategy".ljust(18)] + [label.rjust(width) for label in labels]
         lines.append("  " + " ".join(header))
         for strategy, by_budget in rows.items():
             row = [strategy.ljust(18)]
             for b in budgets:
                 cell = by_budget.get(b)
                 if cell is None:
-                    row.append("-".rjust(12))
+                    row.append("-".rjust(width))
                     continue
                 mark = "*" if cell.best else ""
                 mark += "+" if cell.improved else ""
-                row.append(f"{cell.accuracy * 100:.2f}{mark}".rjust(12))
+                row.append(f"{cell.accuracy * 100:.2f}{mark}".rjust(width))
             lines.append("  " + " ".join(row))
         lines.append("")
     for cell in report.failures:

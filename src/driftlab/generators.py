@@ -13,7 +13,9 @@ blends toward the next one. Three concept families interpret phases:
 
 Generation is vectorized and deterministic for a fixed seed: the
 profile's mixing draws (gradual/recurring only) come first, then labels,
-then feature noise, in that frozen order.
+then feature noise, in that frozen order. A setting no stream can take,
+from an inconsistent drift profile to family parameters whose features
+overflow, raises ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .core import (
     NUMERIC,
     Attribute,
     ConfigError,
-    DriftLabError,
     Instance,
     LoadedStream,
     StreamSchema,
@@ -38,10 +39,6 @@ GRADUAL = "gradual"
 INCREMENTAL = "incremental"
 RECURRING = "recurring"
 KINDS = (SUDDEN, GRADUAL, INCREMENTAL, RECURRING)
-
-
-class InvalidProfile(DriftLabError):
-    """Drift profile is internally inconsistent or does not fit the stream."""
 
 
 @dataclass(frozen=True)
@@ -64,34 +61,34 @@ class DriftProfile:
         if not isinstance(self.change_points, tuple):
             object.__setattr__(self, "change_points", tuple(self.change_points))
         if self.kind not in KINDS:
-            raise InvalidProfile(f"unknown drift kind: {self.kind!r}")
+            raise ConfigError(f"unknown drift kind: {self.kind!r}")
         points = self.change_points
         for p in points:
             if p <= 0:
-                raise InvalidProfile(f"change point {p} must be positive")
+                raise ConfigError(f"change point {p} must be positive")
         if any(b <= a for a, b in zip(points, points[1:])):
-            raise InvalidProfile(f"change points must be strictly increasing: {points}")
+            raise ConfigError(f"change points must be strictly increasing: {points}")
         if self.kind == SUDDEN:
             if self.width != 0:
-                raise InvalidProfile("transition width must be 0 for sudden drift")
+                raise ConfigError("transition width must be 0 for sudden drift")
         else:
             if self.width < 1:
-                raise InvalidProfile(f"{self.kind} drift needs a transition width >= 1")
+                raise ConfigError(f"{self.kind} drift needs a transition width >= 1")
             for a, b in zip(points, points[1:]):
                 if a + self.width > b:
-                    raise InvalidProfile(
+                    raise ConfigError(
                         f"transition window at {a} (width {self.width})"
                         f" overlaps the next change point {b}"
                     )
         if self.cycle_length < 1:
-            raise InvalidProfile("cycle_length must be at least 1")
+            raise ConfigError("cycle_length must be at least 1")
 
     def validate_length(self, n: int) -> None:
         for p in self.change_points:
             if p >= n:
-                raise InvalidProfile(f"change point {p} outside stream of {n} instances")
+                raise ConfigError(f"change point {p} outside stream of {n} instances")
             if self.kind != SUDDEN and p + self.width > n:
-                raise InvalidProfile(
+                raise ConfigError(
                     f"transition window at {p} (width {self.width})"
                     f" runs past the stream end {n}"
                 )

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConfigError, DriftLabError, Instance, LoadedStream, StreamSchema
+from .core import ConfigError, Instance, LoadedStream, SchemaMismatch, StreamSchema
 from .active import RandomizedVariableUncertainty, RandomQuery, SamplingQuery
 from .drift import DdmDetector, EddmDetector
 from .evaluation import PrequentialWindow
@@ -42,10 +42,6 @@ from .selflabel import (
 QUERIED = "queried"
 SELF_LABELED = "self_labeled"
 SKIPPED = "skipped"
-
-
-class EmptyStream(DriftLabError):
-    """Raised when a run is asked to process zero instances."""
 
 
 # One name -> factory registry per component kind. Validation, CLI
@@ -316,7 +312,7 @@ def run_stream(stream: LoadedStream, config: HybridConfig, record_stride: int = 
     (0 keeps none, 1 keeps all). Returns (records, summary).
     """
     if len(stream.instances) == 0:
-        raise EmptyStream(f"stream {stream.name!r} has no instances")
+        raise SchemaMismatch(f"stream {stream.name!r} has no instances")
     if record_stride < 0:
         raise ConfigError("record stride must be nonnegative")
     runner = build_runner(stream.schema, config)

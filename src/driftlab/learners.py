@@ -21,6 +21,7 @@ from .core import (
     ConfigError,
     DriftLabError,
     InvalidPosterior,
+    SchemaMismatch,
     StreamSchema,
 )
 
@@ -33,10 +34,6 @@ VARIANCE_FLOOR = 1e-6
 
 class DomainError(DriftLabError):
     """A numeric helper was called outside its valid input domain."""
-
-
-class LabelOutOfRange(DriftLabError):
-    """Training label index falls outside the schema's class range."""
 
 
 def hoeffding_bound(value_range: float, delta: float, n: int) -> float:
@@ -106,7 +103,7 @@ class NaiveBayes:
     def train(self, features, label):
         """Add one instance: :meth:`_count`, then :meth:`_derive` of its class."""
         if not 0 <= label < self._class_count:
-            raise LabelOutOfRange(f"label {label!r} outside [0, {self._class_count})")
+            raise SchemaMismatch(f"label {label!r} outside [0, {self._class_count})")
         self._count(features, label)
         self._derive(label)
 
@@ -745,9 +742,7 @@ class AccuracyWeightedEnsemble:
 
     def train(self, features, label):
         if not 0 <= label < self.schema.class_count:
-            raise LabelOutOfRange(
-                f"label {label!r} outside [0, {self.schema.class_count})"
-            )
+            raise SchemaMismatch(f"label {label!r} outside [0, {self.schema.class_count})")
         self._buffer.append((features, label))
         if len(self._buffer) >= self.chunk_size:
             self._finish_chunk()

@@ -6,13 +6,16 @@ collected in order of first appearance. Typed streams, with nominal
 attributes and declared classes, come as ARFF; the ARFF reader handles
 the dense subset: ``@relation``, ``@attribute <name> numeric`` or
 ``@attribute <name> {a,b,...}``, ``@data``, ``?`` for missing values,
-``%`` comments.
+``%`` comments. A file that is malformed, holds no data rows, or whose
+rows disagree with its schema raises ``SchemaMismatch`` naming the file,
+and the line where there is one.
 
 :class:`StreamSpec` is the declarative, picklable description of a
 stream source (a file or generator settings) used by the CLI and the
 experiment grid, which may replay one spec across many worker runs.
 :func:`parse_stream_spec` checks a generator spec with the code that
-generates it, so a spec that could never load fails when it is parsed.
+generates it, so a spec that could never load fails when it is parsed,
+with ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -28,26 +31,12 @@ from .core import (
     NUMERIC,
     Attribute,
     ConfigError,
-    DriftLabError,
     Instance,
     LoadedStream,
     SchemaMismatch,
     StreamSchema,
-    UnknownClass,
 )
 from .generators import DEFAULT_FAMILY, PARAMS, SUDDEN, DriftProfile, checked_family, gen_drift_stream
-
-
-class MalformedHeader(DriftLabError):
-    """ARFF header is missing, out of order, or uses an unsupported type."""
-
-
-class SparseNotSupported(DriftLabError):
-    """ARFF sparse data rows (starting with ``{``) are not handled."""
-
-
-class UnknownNominalValue(DriftLabError):
-    """A nominal cell holds a value outside the attribute's declared set."""
 
 
 def _parse_numeric(cell):
@@ -85,7 +74,8 @@ def read_csv(path, name=None) -> LoadedStream:
     Every attribute is numeric: blank, ``?``, unparseable and non-finite
     cells become missing. Class names are registered in order of first
     appearance; a blank or ``?`` class cell is an error. Nominal attributes come from ARFF (:func:`read_arff`).
-    The first row is a header when none of its cells parses as a number.
+    The first row is a header when none of its cells parses as a number;
+    every data row must then have as many fields as the header.
     Errors name the file line.
     """
     instances = []
@@ -101,25 +91,22 @@ def read_csv(path, name=None) -> LoadedStream:
                 if header_names is None and _is_header_row(row):
                     header_names = [c.strip() for c in row]
                     continue
-                n_fields = len(row)
-                if n_fields < 2:
+                if len(row) < 2:
                     raise SchemaMismatch(f"{path}:{reader.line_num}: rows need at least 2 fields")
-            elif len(row) != n_fields:
+                n_fields = len(row if header_names is None else header_names)
+            if len(row) != n_fields:
                 raise SchemaMismatch(
                     f"{path}:{reader.line_num}: expected {n_fields} fields, got {len(row)}"
                 )
             cls = row[-1].strip()
             if cls in ("", "?"):
-                raise UnknownClass(f"{path}:{reader.line_num}: unknown class value {cls!r}")
+                raise SchemaMismatch(f"{path}:{reader.line_num}: unknown class value {cls!r}")
             label = class_ids.setdefault(cls, len(class_ids))
             instances.append(Instance(tuple(_parse_numeric(c) for c in row[:-1]), label))
 
     if n_fields is None:
         raise SchemaMismatch(f"{path}: no data rows to infer a schema from")
-    if header_names is not None and len(header_names) == n_fields:
-        attr_names = header_names[:-1]
-    else:
-        attr_names = [f"x{i}" for i in range(n_fields - 1)]
+    attr_names = header_names[:-1] if header_names else [f"x{i}" for i in range(n_fields - 1)]
     try:
         schema = StreamSchema(tuple(Attribute(a, NUMERIC) for a in attr_names), tuple(class_ids))
     except ValueError as exc:
@@ -131,34 +118,37 @@ def read_csv(path, name=None) -> LoadedStream:
 def _parse_attribute_line(rest, path, lineno):
     rest = rest.strip()
     if not rest:
-        raise MalformedHeader(f"{path}:{lineno}: @attribute needs a name and a type")
+        raise SchemaMismatch(f"{path}:{lineno}: @attribute needs a name and a type")
     if rest[0] in "'\"":
         quote = rest[0]
         end = rest.find(quote, 1)
         if end < 0:
-            raise MalformedHeader(f"{path}:{lineno}: unterminated quoted attribute name")
+            raise SchemaMismatch(f"{path}:{lineno}: unterminated quoted attribute name")
         attr_name = rest[1:end]
         spec = rest[end + 1 :].strip()
     else:
         parts = rest.split(None, 1)
         if len(parts) < 2:
-            raise MalformedHeader(f"{path}:{lineno}: @attribute needs a name and a type")
+            raise SchemaMismatch(f"{path}:{lineno}: @attribute needs a name and a type")
         attr_name, spec = parts[0], parts[1].strip()
     if not attr_name:
-        raise MalformedHeader(f"{path}:{lineno}: empty attribute name")
+        raise SchemaMismatch(f"{path}:{lineno}: empty attribute name")
     if spec.startswith("{"):
         if not spec.endswith("}"):
-            raise MalformedHeader(f"{path}:{lineno}: unterminated nominal value list")
+            raise SchemaMismatch(f"{path}:{lineno}: unterminated nominal value list")
         values = []
         for piece in spec[1:-1].split(","):
             v = piece.strip().strip("'\"")
             if not v:
-                raise MalformedHeader(f"{path}:{lineno}: empty nominal value")
+                raise SchemaMismatch(f"{path}:{lineno}: empty nominal value")
             values.append(v)
-        return Attribute(attr_name, NOMINAL, tuple(values))
+        try:
+            return Attribute(attr_name, NOMINAL, tuple(values))
+        except ValueError as exc:
+            raise SchemaMismatch(f"{path}:{lineno}: {exc}") from None
     if spec.lower() in ("numeric", "real", "integer"):
         return Attribute(attr_name, NUMERIC)
-    raise MalformedHeader(f"{path}:{lineno}: unsupported attribute type {spec!r}")
+    raise SchemaMismatch(f"{path}:{lineno}: unsupported attribute type {spec!r}")
 
 
 def read_arff(path, name=None) -> LoadedStream:
@@ -179,30 +169,30 @@ def read_arff(path, name=None) -> LoadedStream:
                 low = line.lower()
                 if low.startswith("@relation"):
                     if relation is not None:
-                        raise MalformedHeader(f"{path}:{lineno}: duplicate @relation")
+                        raise SchemaMismatch(f"{path}:{lineno}: duplicate @relation")
                     relation = line[len("@relation") :].strip().strip("'\"")
                     if not relation:
-                        raise MalformedHeader(f"{path}:{lineno}: @relation needs a name")
+                        raise SchemaMismatch(f"{path}:{lineno}: @relation needs a name")
                 elif low.startswith("@attribute"):
                     if relation is None:
-                        raise MalformedHeader(f"{path}:{lineno}: @attribute before @relation")
+                        raise SchemaMismatch(f"{path}:{lineno}: @attribute before @relation")
                     attrs.append(_parse_attribute_line(line[len("@attribute") :], path, lineno))
                 elif low.startswith("@data"):
                     if relation is None:
-                        raise MalformedHeader(f"{path}:{lineno}: @data before @relation")
+                        raise SchemaMismatch(f"{path}:{lineno}: @data before @relation")
                     if len(attrs) < 2:
-                        raise MalformedHeader(
+                        raise SchemaMismatch(
                             f"{path}:{lineno}: need at least one feature attribute plus a class"
                         )
                     class_attr = attrs[-1]
                     if class_attr.kind != NOMINAL:
-                        raise MalformedHeader(
+                        raise SchemaMismatch(
                             f"{path}: class attribute {class_attr.name!r} must be nominal"
                         )
                     try:
                         schema = StreamSchema(tuple(attrs[:-1]), class_attr.values)
                     except ValueError as exc:
-                        raise MalformedHeader(f"{path}: {exc}") from None
+                        raise SchemaMismatch(f"{path}: {exc}") from None
                     nominal_index = {
                         i: {v: j for j, v in enumerate(a.values)}
                         for i, a in enumerate(schema.attributes)
@@ -210,12 +200,12 @@ def read_arff(path, name=None) -> LoadedStream:
                     }
                     class_index = {v: j for j, v in enumerate(class_attr.values)}
                 else:
-                    raise MalformedHeader(
+                    raise SchemaMismatch(
                         f"{path}:{lineno}: unexpected content before @data: {line[:40]!r}"
                     )
             else:
                 if line.startswith("{"):
-                    raise SparseNotSupported(f"{path}:{lineno}: sparse rows are not supported")
+                    raise SchemaMismatch(f"{path}:{lineno}: sparse rows are not supported")
                 cells = line.split(",")
                 n_attrs = schema.n_attributes
                 if len(cells) != n_attrs + 1:
@@ -231,7 +221,7 @@ def read_arff(path, name=None) -> LoadedStream:
                         try:
                             feats[i] = nominal_index[i][cell]
                         except KeyError:
-                            raise UnknownNominalValue(
+                            raise SchemaMismatch(
                                 f"{path}:{lineno}: {cell!r} is not a declared value"
                                 f" of attribute {schema.attributes[i].name!r}"
                             ) from None
@@ -239,11 +229,13 @@ def read_arff(path, name=None) -> LoadedStream:
                         feats[i] = _parse_numeric(cell)
                 cls = cells[-1].strip().strip("'\"")
                 if cls == "?" or cls not in class_index:
-                    raise UnknownClass(f"{path}:{lineno}: unknown class value {cls!r}")
+                    raise SchemaMismatch(f"{path}:{lineno}: unknown class value {cls!r}")
                 instances.append(Instance(tuple(feats), class_index[cls]))
 
     if schema is None:
-        raise MalformedHeader(f"{path}: missing @data section")
+        raise SchemaMismatch(f"{path}: missing @data section")
+    if not instances:
+        raise SchemaMismatch(f"{path}: no data rows after @data")
     stream_name = name or relation
     return LoadedStream(stream_name, schema, instances, {"source": "arff", "path": str(path)})
 

@@ -88,6 +88,24 @@ class TestRun:
         assert err.startswith("i/o error")
         assert str(missing) in err
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("empty.arff", "@relation e\n@attribute a numeric\n@attribute class {x,y}\n@data\n", "no data rows"),
+            ("twice.arff", "@relation t\n@attribute a numeric\n@attribute class {x,x,y}\n@data\n1,x\n2,y\n",
+             "attribute 'class' repeats a category name"),
+            ("wide.csv", "a,b,class\n1,2,3,x\n4,5,6,y\n", "expected 3 fields, got 4"),
+        ],
+    )
+    def test_bad_stream_data_exits_2_naming_the_file(self, name, text, message, capsys, tmp_path):
+        # each fails when it is read, so the message names the file
+        path = tmp_path / name
+        path.write_text(text)
+        assert run_cli("run", "--stream", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:")
+        assert message in err
+
     @pytest.mark.parametrize("learner", ["nb", "ht", "awe"])
     def test_huge_finite_cells_are_an_error_not_a_crash(self, learner, capsys, tmp_path):
         # a class whose values reach +-1e200 overflows its running M2,
@@ -159,6 +177,16 @@ class TestCompare:
         assert "tiny" in out
         assert "randvar+fixed" in out
         assert "Acc=" in out and "Fh=" in out
+
+    def test_empty_arff_fails_its_cells(self, capsys, tmp_path):
+        empty = tmp_path / "empty.arff"
+        empty.write_text("@relation empty\n@attribute a numeric\n@attribute class {x,y}\n@data\n")
+        argv = list(self.ARGS)
+        argv[argv.index(TINY)] = str(empty)
+        assert run_cli(*argv) == 0
+        failed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("failed:")]
+        assert len(failed) == 2 * 3  # 2 budgets x (2 baselines + 1 hybrid)
+        assert all(f": SchemaMismatch: {empty}: no data rows" in l for l in failed)
 
     def test_table_out_matches_stdout(self, capsys, tmp_path):
         table = tmp_path / "table.txt"

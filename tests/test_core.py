@@ -40,6 +40,12 @@ def test_numeric_attribute_rejects_values():
         Attribute("x", NUMERIC, ("a", "b"))
 
 
+def test_nominal_attribute_rejects_repeated_values():
+    # a repeated name would make a category that no cell can ever select
+    with pytest.raises(ValueError, match="attribute 'color' repeats a category name"):
+        Attribute("color", NOMINAL, ("red", "red", "blue"))
+
+
 def test_attribute_cardinality():
     assert Attribute("c", NOMINAL, ("a", "b", "c")).cardinality == 3
     assert Attribute("x", NUMERIC).cardinality == 0
@@ -53,6 +59,11 @@ def test_schema_needs_two_classes():
 def test_schema_rejects_duplicate_attribute_names():
     with pytest.raises(ValueError):
         StreamSchema((Attribute("x", NUMERIC), Attribute("x", NUMERIC)), ("a", "b"))
+
+
+def test_schema_rejects_repeated_class_names():
+    with pytest.raises(ValueError, match="class names must be unique"):
+        StreamSchema((Attribute("x", NUMERIC),), ("a", "a", "b"))
 
 
 def test_schema_counts():

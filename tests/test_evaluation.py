@@ -201,6 +201,22 @@ class TestSerialization:
         assert lines[1].split()[1:] == ["B=0.1", "B=0.1000000001", "B=1.0"]
         assert "strategy=randvar+bad B=0.1000000001: boom" in lines[-2]
 
+    def test_text_columns_fit_the_longest_budget_label(self):
+        # a 14-character label widens its column in every row, not only
+        # in the header
+        report = build_report(
+            [
+                cell("randvar", 0.8, hybrid=False, budget=0.1),
+                cell("randvar", 0.9, hybrid=False, budget=0.1000000001),
+                cell("randvar+fixed", 0.85, budget=0.1),
+            ]
+        )
+        header, *rows = to_text(report).splitlines()[1:4]
+        assert header.endswith(" B=0.1000000001")
+        assert [len(row) for row in rows] == [len(header)] * 2
+        assert rows[0].endswith(" 90.00*") and rows[1].endswith(" -")
+        assert header.index("B=0.1 ") == rows[0].index("80.00")
+
     def test_text_missing_budget_cell(self):
         report = build_report(
             [

@@ -10,7 +10,6 @@ from driftlab.generators import (
     FAMILIES,
     DriftProfile,
     GaussianClusters,
-    InvalidProfile,
     RotatingHyperplane,
     SeaThresholds,
     gen_drift_stream,
@@ -26,44 +25,44 @@ def pairs(instances):
 
 class TestDriftProfile:
     def test_unknown_kind(self):
-        with pytest.raises(InvalidProfile):
+        with pytest.raises(ConfigError, match="unknown drift kind: 'wobbly'"):
             DriftProfile("wobbly")
 
     def test_change_points_must_be_positive(self):
-        with pytest.raises(InvalidProfile):
+        with pytest.raises(ConfigError, match="change point 0 must be positive"):
             DriftProfile("sudden", (0,))
 
     def test_change_points_strictly_increasing(self):
-        with pytest.raises(InvalidProfile):
+        with pytest.raises(ConfigError, match="change points must be strictly increasing"):
             DriftProfile("sudden", (100, 100))
 
     def test_sudden_rejects_width(self):
-        with pytest.raises(InvalidProfile):
+        with pytest.raises(ConfigError, match="transition width must be 0 for sudden drift"):
             DriftProfile("sudden", (100,), width=10)
 
     def test_gradual_needs_width(self):
-        with pytest.raises(InvalidProfile):
+        with pytest.raises(ConfigError, match="gradual drift needs a transition width >= 1"):
             DriftProfile("gradual", (100,), width=0)
 
     def test_windows_must_not_overlap_next_point(self):
-        with pytest.raises(InvalidProfile):
+        with pytest.raises(ConfigError, match="transition window at 100 .* overlaps the next change point 150"):
             DriftProfile("gradual", (100, 150), width=60)
         DriftProfile("gradual", (100, 150), width=50)  # touching is fine
 
     def test_cycle_length_positive(self):
-        with pytest.raises(InvalidProfile):
+        with pytest.raises(ConfigError, match="cycle_length must be at least 1"):
             DriftProfile("recurring", (10,), width=1, cycle_length=0)
 
     def test_validate_length_checks_points(self):
         prof = DriftProfile("sudden", (500,))
         prof.validate_length(501)
-        with pytest.raises(InvalidProfile):
+        with pytest.raises(ConfigError, match="change point 500 outside stream of 500 instances"):
             prof.validate_length(500)
 
     def test_validate_length_checks_window_end(self):
         prof = DriftProfile("incremental", (90,), width=20)
         prof.validate_length(110)
-        with pytest.raises(InvalidProfile):
+        with pytest.raises(ConfigError, match="transition window at 90 .* runs past the stream end 109"):
             prof.validate_length(109)
 
 
@@ -312,5 +311,5 @@ class TestGenDriftStream:
             gen_drift_stream(DriftProfile("sudden"), "gaussian-clusters", 10, seed=-1, name="g")
 
     def test_change_point_must_fit(self):
-        with pytest.raises(InvalidProfile):
+        with pytest.raises(ConfigError, match="change point 100 outside stream of 100 instances"):
             gen_drift_stream(DriftProfile("sudden", (100,)), "gaussian-clusters", 100, seed=0, name="g")

@@ -9,13 +9,13 @@ from driftlab.core import (
     Instance,
     LoadedStream,
     NUMERIC,
+    SchemaMismatch,
     StreamSchema,
 )
 from driftlab.hybrid import (
     ACTIVE,
     LEARNERS,
     SELF_LABEL,
-    EmptyStream,
     HybridConfig,
     HybridRunner,
     StepRecord,
@@ -433,7 +433,7 @@ class TestBudgetSafety:
 class TestRunStream:
     def test_empty_stream_rejected(self):
         empty = LoadedStream(name="e", schema=SCHEMA, instances=[], metadata={})
-        with pytest.raises(EmptyStream):
+        with pytest.raises(SchemaMismatch, match="stream 'e' has no instances"):
             run_stream(empty, HybridConfig(learner="nb", active="randvar"))
 
     def test_unlabeled_instance_rejected(self):

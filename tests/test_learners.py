@@ -14,13 +14,13 @@ from driftlab.core import (
     ClassPosterior,
     ConfigError,
     InvalidPosterior,
+    SchemaMismatch,
     StreamSchema,
 )
 from driftlab.learners import (
     AccuracyWeightedEnsemble,
     DomainError,
     HoeffdingTree,
-    LabelOutOfRange,
     NaiveBayes,
     _BayesStack,
     hoeffding_bound,
@@ -140,9 +140,9 @@ class TestNaiveBayes:
 
     def test_label_out_of_range(self):
         nb = NaiveBayes(NUM2)
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(SchemaMismatch, match=r"label 2 outside \[0, 2\)"):
             nb.train((1.0, 1.0), 2)
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(SchemaMismatch, match=r"label -1 outside \[0, 2\)"):
             nb.train((1.0, 1.0), -1)
 
     def test_predict_has_no_side_effects(self):
@@ -274,7 +274,7 @@ class TestHoeffdingTree:
 
     def test_label_out_of_range(self):
         ht = HoeffdingTree(NUM2)
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(SchemaMismatch, match=r"label 5 outside \[0, 2\)"):
             ht.train((0.0, 0.0), 5)
 
 
@@ -575,7 +575,7 @@ class TestAccuracyWeightedEnsemble:
 
     def test_label_checked_immediately(self):
         awe = AccuracyWeightedEnsemble(NUM2)
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(SchemaMismatch, match=r"label 9 outside \[0, 2\)"):
             awe.train((0.0, 0.0), 9)
 
 # numeric and nominal attributes interleaved, so "numeric first, then

@@ -15,15 +15,11 @@ from driftlab.core import (
     LoadedStream,
     SchemaMismatch,
     StreamSchema,
-    UnknownClass,
 )
 from driftlab.generators import FAMILIES, PARAMS, DriftProfile, gen_drift_stream
 from driftlab.hybrid import HybridConfig, run_stream
 from driftlab.streams import (
-    MalformedHeader,
-    SparseNotSupported,
     StreamSpec,
-    UnknownNominalValue,
     parse_stream_spec,
     read_arff,
     read_csv,
@@ -72,13 +68,27 @@ class TestReadCsv:
         p = tmp_path / "s.csv"
         for cell, shown in (("?", r"'\?'"), ("", "''")):
             p.write_text(f"temp,wind,class\n1.0,2.0,go\n\n1.0,2.0,{cell}\n")
-            with pytest.raises(UnknownClass, match=r"s\.csv:4: unknown class value " + shown):
+            with pytest.raises(SchemaMismatch, match=r"s\.csv:4: unknown class value " + shown):
                 read_csv(p)
 
     def test_short_first_row_names_its_file_line(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("a,class\n\n\ngo\n")
         with pytest.raises(SchemaMismatch, match=r"s\.csv:4: rows need at least 2 fields"):
+            read_csv(p)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b,class\n1.0,2.0,3.0,up\n", r"s\.csv:2: expected 3 fields, got 4"),
+            ("a,b,c,class\n\n1.0,2.0,up\n", r"s\.csv:3: expected 4 fields, got 3"),
+        ],
+    )
+    def test_header_sets_the_row_width(self, tmp_path, text, message):
+        # a header of another width would leave rows without column names
+        p = tmp_path / "s.csv"
+        p.write_text(text)
+        with pytest.raises(SchemaMismatch, match=message):
             read_csv(p)
 
     def test_inferred_schema_is_all_numeric(self, tmp_path):
@@ -247,25 +257,46 @@ class TestReadArff:
     def test_missing_relation(self, tmp_path):
         p = tmp_path / "w.arff"
         p.write_text("@attribute a numeric\n@attribute class {x,y}\n@data\n1,x\n")
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(SchemaMismatch, match=r"w\.arff:1: @attribute before @relation"):
             read_arff(p)
 
     def test_missing_data_section(self, tmp_path):
         p = tmp_path / "w.arff"
         p.write_text("@relation r\n@attribute a numeric\n@attribute class {x,y}\n")
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(SchemaMismatch, match=r"w\.arff: missing @data section"):
             read_arff(p)
 
     def test_unsupported_attribute_type(self, tmp_path):
         p = tmp_path / "w.arff"
         p.write_text("@relation r\n@attribute a date\n@attribute class {x,y}\n@data\n")
-        with pytest.raises(MalformedHeader, match="date"):
+        with pytest.raises(SchemaMismatch, match=r"w\.arff:2: unsupported attribute type 'date'"):
             read_arff(p)
 
     def test_numeric_class_attribute_rejected(self, tmp_path):
         p = tmp_path / "w.arff"
         p.write_text("@relation r\n@attribute a numeric\n@attribute b numeric\n@data\n")
-        with pytest.raises(MalformedHeader, match="nominal"):
+        with pytest.raises(SchemaMismatch, match=r"w\.arff: class attribute 'b' must be nominal"):
+            read_arff(p)
+
+    def test_empty_data_section(self, tmp_path):
+        # an empty stream fails where it is read, naming its file
+        p = tmp_path / "w.arff"
+        p.write_text("@relation r\n@attribute a numeric\n@attribute class {x,y}\n@data\n% none\n")
+        with pytest.raises(SchemaMismatch, match=r"w\.arff: no data rows"):
+            read_arff(p)
+
+    @pytest.mark.parametrize(
+        "attributes, message",
+        [
+            ("@attribute a numeric\n@attribute class {x,x,y}\n", r"w\.arff:3: attribute 'class'"),
+            ("@attribute a {p,q,p}\n@attribute class {x,y}\n", r"w\.arff:2: attribute 'a'"),
+        ],
+    )
+    def test_repeated_category_names_rejected(self, tmp_path, attributes, message):
+        # {x,x,y} would declare a class 0 that no row can carry
+        p = tmp_path / "w.arff"
+        p.write_text(f"@relation r\n{attributes}@data\n1,x\n")
+        with pytest.raises(SchemaMismatch, match=message + " repeats a category name"):
             read_arff(p)
 
     def test_sparse_rows_rejected(self, tmp_path):
@@ -274,7 +305,7 @@ class TestReadArff:
             "@relation r\n@attribute a numeric\n@attribute class {x,y}\n"
             "@data\n{0 1.0, 1 x}\n"
         )
-        with pytest.raises(SparseNotSupported):
+        with pytest.raises(SchemaMismatch, match=r"w\.arff:5: sparse rows are not supported"):
             read_arff(p)
 
     def test_row_arity_checked(self, tmp_path):
@@ -286,13 +317,13 @@ class TestReadArff:
     def test_unknown_nominal_value(self, tmp_path):
         p = tmp_path / "w.arff"
         p.write_text(ARFF_OK + "5.0, hazy, go\n")
-        with pytest.raises(UnknownNominalValue, match="hazy"):
+        with pytest.raises(SchemaMismatch, match=r"'hazy' is not a declared value of attribute 'sky'"):
             read_arff(p)
 
     def test_unknown_class_value(self, tmp_path):
         p = tmp_path / "w.arff"
         p.write_text(ARFF_OK + "\n5.0, clear, maybe\n")
-        with pytest.raises(UnknownClass, match=r"w\.arff:13: unknown class value 'maybe'"):
+        with pytest.raises(SchemaMismatch, match=r"w\.arff:13: unknown class value 'maybe'"):
             read_arff(p)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
