@@ -9,13 +9,16 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
+from . import hybrid
 from .core import ConfigError, DriftLabError
 from .experiments import GridSpec, resolve_jobs, run_grid
 from .evaluation import to_records, to_text
-from .hybrid import ACTIVE, LEARNERS, SELF_LABEL, HybridConfig, StepRecord, run_stream
+from .hybrid import ACTIVE, LEARNERS, SELF_LABEL, HybridConfig, StepRecord, run_stream, step_records
 from .streams import parse_stream_spec, write_csv
 
 
@@ -28,10 +31,19 @@ def _format_value(value) -> str:
 
 
 def _write_series(path, records):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(StepRecord._fields) + "\n")
-        for record in records:
-            fh.write(",".join(_format_value(v) for v in record) + "\n")
+    """Write each record as ``records`` yields it, into a sibling file
+    that becomes ``path`` only once the run ends: a failed run leaves none."""
+    part = f"{path}.{os.getpid()}.part"
+    try:
+        with open(part, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(StepRecord._fields) + "\n")
+            for record in records:
+                fh.write(",".join(_format_value(v) for v in record) + "\n")
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
 
 
 def _write_json(path, payload):
@@ -65,14 +77,14 @@ def cmd_run(args) -> int:
 
     spec = _parse_stream("--stream", args.stream)
     stream = spec.load(seed_fallback=config.seed)
-    want_series = args.series_out is not None
-    records, summary = run_stream(
-        stream, config, record_stride=args.stride if want_series else 0
-    )
-
     resolved = dict(config.to_dict(), stream=spec.describe(), stride=args.stride)
-    if want_series:
-        _write_series(args.series_out, records)
+    if args.series_out is None:
+        summary = run_stream(stream, config)[1]
+    else:
+        # looked up on the module, where the benchmark's tracer wraps it
+        runner = hybrid.build_runner(stream.schema, config)
+        _write_series(args.series_out, step_records(stream, runner, args.stride))
+        summary = runner.summary(stream.name)
         _write_json(args.series_out + ".meta.json", {"config": resolved})
     if args.summary_out is not None:
         _write_json(

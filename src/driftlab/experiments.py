@@ -114,11 +114,17 @@ _stream_cache: dict = {}
 def _load_stream(spec: StreamSpec, seed: int):
     # keyed on the full description, since display names can collide;
     # generator specs without a pinned seed produce one stream per run
-    # seed, everything else is shared across the grid
+    # seed, everything else is shared across the grid. A process runs
+    # its tasks in row order and rows are stream-major, so a new spec
+    # drops the old one's streams: each spec still loads once, and the
+    # cache holds one spec's streams at a time
+    described = json.dumps(spec.describe(), sort_keys=True)
     pinned = spec.generator is None or spec.generator["seed"] is not None
-    key = (json.dumps(spec.describe(), sort_keys=True), None if pinned else seed)
+    key = (described, None if pinned else seed)
     stream = _stream_cache.get(key)
     if stream is None:
+        if any(cached != described for cached, _ in _stream_cache):
+            _stream_cache.clear()
         stream = spec.load(seed_fallback=seed)
         _stream_cache[key] = stream
     return stream

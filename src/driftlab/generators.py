@@ -297,9 +297,9 @@ def gen_drift_stream(profile: DriftProfile, family, n: int, seed, name, **family
         x, y = fam.sample(rng, phases)
     if not np.isfinite(x).all():
         raise ConfigError(f"{fam.name} parameters {fam.params()} overflow to non-finite features")
-    rows = x.tolist()
-    labels = y.tolist()
-    instances = [Instance(tuple(row), label) for row, label in zip(rows, labels)]
+    # one list per column, zipped into row tuples: no list per row
+    rows = zip(*x.T.tolist())
+    instances = [Instance(row, label) for row, label in zip(rows, y.tolist())]
     metadata = {
         "source": "generator",
         "family": fam.name,

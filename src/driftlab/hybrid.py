@@ -305,26 +305,31 @@ def build_runner(schema: StreamSchema, config: HybridConfig) -> HybridRunner:
     )
 
 
-def run_stream(stream: LoadedStream, config: HybridConfig, record_stride: int = 0):
-    """Fold the runner over a loaded stream.
-
-    ``record_stride`` keeps a step record every that-many instances
-    (0 keeps none, 1 keeps all). Returns (records, summary).
+def step_records(stream: LoadedStream, runner: HybridRunner, stride: int):
+    """Fold ``runner`` over a loaded stream, yielding every
+    ``stride``-th :class:`StepRecord` as it is made (0 yields none, 1
+    all). Nothing is kept, so a run's memory does not grow with its
+    length; ``runner.summary`` holds the totals once this is spent.
     """
     if len(stream.instances) == 0:
         raise SchemaMismatch(f"stream {stream.name!r} has no instances")
-    if record_stride < 0:
+    if stride < 0:
         raise ConfigError("record stride must be nonnegative")
-    runner = build_runner(stream.schema, config)
-    records = []
     for position, instance in enumerate(stream.instances, start=1):
         if instance.label is None:
             raise ConfigError(
                 f"stream {stream.name!r} instance {position} has no label;"
                 " prequential runs need fully labeled streams"
             )
-        want = bool(record_stride) and position % record_stride == 0
+        want = bool(stride) and position % stride == 0
         record = runner.process_instance(instance, want_record=want)
         if want:
-            records.append(record)
+            yield record
+
+
+def run_stream(stream: LoadedStream, config: HybridConfig, record_stride: int = 0):
+    """Fold a fresh runner over a loaded stream; returns (records,
+    summary), the records being :func:`step_records`' list."""
+    runner = build_runner(stream.schema, config)
+    records = list(step_records(stream, runner, record_stride))
     return records, runner.summary(stream.name)

@@ -75,7 +75,8 @@ def read_csv(path, name=None) -> LoadedStream:
     cells become missing. Class names are registered in order of first
     appearance; a blank or ``?`` class cell is an error. Nominal attributes come from ARFF (:func:`read_arff`).
     The first row is a header when none of its cells parses as a number;
-    every data row must then have as many fields as the header.
+    every data row must then have as many fields as the header, and no
+    later row may repeat it.
     Errors name the file line.
     """
     instances = []
@@ -101,6 +102,10 @@ def read_csv(path, name=None) -> LoadedStream:
             cls = row[-1].strip()
             if cls in ("", "?"):
                 raise SchemaMismatch(f"{path}:{reader.line_num}: unknown class value {cls!r}")
+            if header_names and cls == header_names[-1] and [c.strip() for c in row] == header_names:
+                raise SchemaMismatch(
+                    f"{path}:{reader.line_num}: the header row is repeated (two files joined?)"
+                )
             label = class_ids.setdefault(cls, len(class_ids))
             instances.append(Instance(tuple(_parse_numeric(c) for c in row[:-1]), label))
 

@@ -15,6 +15,18 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def write_huge_csv(tmp_path, n):
+    """``huge.csv``: ``n`` rows whose ``a`` cells cycle +1e200, -1e200, small."""
+    rows = ["a,b,class"]
+    for i in range(n):
+        big = (1e200, -1e200, None)[i % 3]
+        a = repr(big) if big is not None else repr(0.1 * i)
+        rows.append(f"{a},{0.05 * i!r},{'xy'[i % 2]}")
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
 class TestRun:
     def test_prints_one_result_line(self, capsys):
         assert run_cli("run", "--stream", TINY) == 0
@@ -95,6 +107,7 @@ class TestRun:
             ("twice.arff", "@relation t\n@attribute a numeric\n@attribute class {x,x,y}\n@data\n1,x\n2,y\n",
              "attribute 'class' repeats a category name"),
             ("wide.csv", "a,b,class\n1,2,3,x\n4,5,6,y\n", "expected 3 fields, got 4"),
+            ("joined.csv", "a,b,class\n1,2,x\na,b,class\n4,5,y\n", "3: the header row is repeated"),
         ],
     )
     def test_bad_stream_data_exits_2_naming_the_file(self, name, text, message, capsys, tmp_path):
@@ -112,18 +125,36 @@ class TestRun:
         # its scores turn NaN, and the run must end with exit 2 and a
         # message that names the overflowing attribute; awe predicts
         # from members only once its first 500-instance chunk closes
-        rows = ["a,b,class"]
-        for i in range(1200 if learner == "awe" else 60):
-            big = (1e200, -1e200, None)[i % 3]
-            a = repr(big) if big is not None else repr(0.1 * i)
-            rows.append(f"{a},{0.05 * i!r},{'xy'[i % 2]}")
-        path = tmp_path / "huge.csv"
-        path.write_text("\n".join(rows) + "\n")
+        path = write_huge_csv(tmp_path, 1200 if learner == "awe" else 60)
         code = run_cli("run", "--stream", str(path), "--learner", learner, "--al", "random", "--budget", "1.0")
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: probability entry")
         assert "attribute 'a'" in err
+
+    def test_a_failed_run_leaves_no_series(self, capsys, tmp_path):
+        # the series is written as the run goes, and this run fails at
+        # its second instance, after its first row is written
+        path = write_huge_csv(tmp_path, 60)
+        series = tmp_path / "series.csv"
+        code = run_cli(
+            "run", "--stream", str(path), "--learner", "nb", "--al", "random", "--budget", "1.0",
+            "--stride", "1", "--series-out", str(series),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: probability entry")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.csv"]
+
+    def test_series_replaces_an_old_file_only_on_success(self, tmp_path):
+        series = tmp_path / "series.csv"
+        series.write_text("old\n")
+        huge = write_huge_csv(tmp_path, 60)
+        argv = ["run", "--learner", "nb", "--al", "random", "--budget", "1.0", "--stride", "1"]
+        assert run_cli(*argv, "--stream", str(huge), "--series-out", str(series)) == 2
+        assert series.read_text() == "old\n"
+        assert run_cli(*argv, "--stream", TINY, "--series-out", str(series)) == 0
+        assert len(series.read_text().splitlines()) == 1 + 200
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.csv", "series.csv", "series.csv.meta.json"]
 
     def test_stream_flag_required(self, capsys):
         # argparse rejects the missing flag before any handler runs

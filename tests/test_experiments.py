@@ -5,7 +5,7 @@ from driftlab.core import ConfigError
 from driftlab.evaluation import ComparisonReport
 from driftlab.experiments import GridSpec, resolve_jobs, run_grid
 from driftlab.hybrid import HybridConfig, run_stream
-from driftlab.streams import parse_stream_spec
+from driftlab.streams import StreamSpec, parse_stream_spec
 
 
 def tiny_stream(n=60, seed=11, name=None):
@@ -188,6 +188,38 @@ class TestRunGrid:
         )
         run_grid(spec)
         assert experiments._stream_cache == {}
+
+    def test_each_spec_loads_once_and_the_cache_holds_one_spec(self, tmp_path, monkeypatch):
+        # rows are stream-major, so a new spec may drop the old one's
+        # streams without loading any spec twice
+        csv_path = tmp_path / "c.csv"
+        csv_path.write_text("".join(f"{i * 0.1!r},{(i % 7) * 0.3!r},{'xy'[i % 2]}\n" for i in range(80)))
+        arff_path = tmp_path / "a.arff"
+        arff_path.write_text(
+            "@relation a\n@attribute v numeric\n@attribute class {p,q}\n@data\n"
+            + "".join(f"{i * 0.2!r},{'pq'[i % 3 == 0]}\n" for i in range(80))
+        )
+        streams = (
+            parse_stream_spec(str(csv_path)),
+            parse_stream_spec(str(arff_path)),
+            parse_stream_spec("gen:family=gaussian-clusters,kind=sudden,n=80,name=open"),
+        )
+        load = StreamSpec.load
+        loads, specs_held = [], []
+
+        def counted(spec, seed_fallback=None):
+            loads.append((spec.name, seed_fallback))
+            specs_held.append({cached for cached, _ in experiments._stream_cache})
+            return load(spec, seed_fallback=seed_fallback)
+
+        monkeypatch.setattr(StreamSpec, "load", counted)
+        spec = GridSpec(
+            streams=streams, active=("random",), self_label=("fixed",), budgets=(0.1, 0.5), seeds=(0, 1)
+        )
+        report = run_grid(spec)
+        assert all(cell.error is None for cell in report.cells)
+        assert loads == [("c", 0), ("a", 0), ("open", 0), ("open", 1)]
+        assert [len(held) for held in specs_held] == [0, 0, 0, 1]
 
     def test_deterministic_across_calls(self):
         spec = GridSpec(

@@ -21,6 +21,7 @@ from driftlab.hybrid import (
     StepRecord,
     build_runner,
     run_stream,
+    step_records,
 )
 from driftlab.selflabel import SelfLabelDecision
 from driftlab.streams import parse_stream_spec
@@ -462,6 +463,17 @@ class TestRunStream:
         assert [r.index for r in sparse] == [250, 500, 750, 1000]
         full, _ = run_stream(stream, config, record_stride=1)
         assert len(full) == 1000
+
+    def test_records_come_as_the_run_makes_them(self):
+        # step_records keeps nothing: each record is yielded as soon as
+        # its instance is processed, and the summary is run_stream's
+        stream = gen_stream(n=1000)
+        config = HybridConfig(learner="nb", active="randvar", budget=0.1, seed=0)
+        runner = build_runner(stream.schema, config)
+        steps = step_records(stream, runner, 250)
+        assert (next(steps).index, runner.seen) == (250, 250)
+        assert [r.index for r in steps] == [500, 750, 1000]
+        assert runner.summary(stream.name) == run_stream(stream, config)[1]
 
     def test_oracle_learner_scores_one(self):
         stream = toy_stream([0] * 50)

@@ -91,6 +91,21 @@ class TestReadCsv:
         with pytest.raises(SchemaMismatch, match=message):
             read_csv(p)
 
+    def test_repeated_header_row_names_its_line(self, tmp_path):
+        # two joined files used to read as a third class, "class", and
+        # an all-missing instance
+        p = tmp_path / "s.csv"
+        p.write_text("a,b,class\n1.0,2.0,x\n a , b ,class\n3.0,4.0,y\n")
+        with pytest.raises(SchemaMismatch, match=r"s\.csv:3: the header row is repeated"):
+            read_csv(p)
+
+    def test_all_missing_row_after_a_header_is_data(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("a,b,class\n1.0,2.0,x\n?,?,x\n,,class\n")
+        stream = read_csv(p)
+        assert stream.schema.class_names == ("x", "class")
+        assert [i.features for i in stream.instances[1:]] == [(MISSING, MISSING)] * 2
+
     def test_inferred_schema_is_all_numeric(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("a,b,class\n1.0,2.0,up\n3.5,bad,down\n0.5,4.0,up\n")
