@@ -118,10 +118,9 @@ def cmd_compare(args) -> int:
             self_label=tuple(_split(args.sl)),
             budgets=budgets,
             seeds=tuple(range(args.seeds)),
-            window=args.window,
         )
     except ConfigError as exc:
-        raise ConfigError(f"--streams/--learners/--al/--sl/--budgets/--seeds/--window: {exc}")
+        raise ConfigError(f"--streams/--learners/--al/--sl/--budgets/--seeds: {exc}")
 
     report = run_grid(spec, jobs=resolve_jobs(args.jobs))
     text = to_text(report)
@@ -188,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     # two decimals print the grid's budgets exactly; a finer one needs more
     compare.add_argument("--budgets", default=",".join(f"{b:.2f}" for b in GridSpec.budgets))
     compare.add_argument("--seeds", type=int, default=1, help="seed count")
-    compare.add_argument("--window", type=int, default=GridSpec.window)
     compare.add_argument("--jobs", type=int, default=None)
     compare.add_argument("--table-out", dest="table_out")
     compare.add_argument("--records-out", dest="records_out")

@@ -43,7 +43,7 @@ class GridSpec:
     """Cartesian description of a comparison sweep.
 
     ``rows`` holds every table row (:func:`grid_rows`), built once here.
-    Names, budgets and the window are checked by each row's
+    Names and budgets are checked by each row's
     ``HybridConfig``, so a bad setting fails before any run starts; a
     grid with no rows would check none of them and is rejected, and so
     is a value given twice on one axis.
@@ -55,7 +55,6 @@ class GridSpec:
     self_label: tuple = HYBRID_POLICIES
     budgets: tuple = (0.01, 0.05, 0.10, 0.20, 0.50)
     seeds: tuple = (0,)
-    window: int = HybridConfig.window
     rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -100,10 +99,10 @@ def grid_rows(spec: GridSpec) -> tuple:
         for learner in spec.learners:
             for budget in spec.budgets:
                 for active in spec.active:
-                    config = HybridConfig(learner, active, "none", budget, window=spec.window)
+                    config = HybridConfig(learner, active, "none", budget)
                     rows.append(GridRow(stream, active, config))
                 for sl in spec.self_label:
-                    config = HybridConfig(learner, "randvar", sl, budget, window=spec.window)
+                    config = HybridConfig(learner, "randvar", sl, budget)
                     rows.append(GridRow(stream, f"randvar+{sl}", config))
     return tuple(rows)
 

@@ -19,7 +19,6 @@ from .core import (
     NUMERIC,
     ClassPosterior,
     ConfigError,
-    DriftLabError,
     InvalidPosterior,
     SchemaMismatch,
     StreamSchema,
@@ -30,10 +29,6 @@ LOG_2PI = math.log(2.0 * math.pi)
 # Gaussian variance floor: one observation has no spread and a spike of
 # zero variance would yield infinite density.
 VARIANCE_FLOOR = 1e-6
-
-
-class DomainError(DriftLabError):
-    """A numeric helper was called outside its valid input domain."""
 
 
 def hoeffding_bound(value_range: float, delta: float, n: int) -> float:
@@ -231,83 +226,6 @@ def _name_overflow(exc, models, features):
                     raise InvalidPosterior(f"{exc} (numeric attribute {name!r} overflowed)") from exc
 
 
-class _Histogram:
-    """Fixed-bin adaptive-range histogram backing numeric split scans.
-
-    When a value lands outside the current range the bins are stretched
-    to cover it, redistributing old counts proportionally by overlap, so
-    memory stays constant no matter the value range. Counts become
-    fractional after a stretch; split scans (:func:`_left_counts`)
-    interpolate linearly inside the straddled bin.
-    """
-
-    __slots__ = ("bins", "lo", "hi", "n")
-
-    NBINS = 64
-
-    def __init__(self):
-        self.bins = [0.0] * self.NBINS
-        self.lo = 0.0
-        self.hi = 0.0
-        self.n = 0
-
-    def add(self, x):
-        x = float(x)
-        if self.n == 0:
-            self.lo = x
-            self.hi = x
-            self.bins[0] = 1.0
-            self.n = 1
-            return
-        if x < self.lo or x > self.hi:
-            self._stretch(min(x, self.lo), max(x, self.hi))
-        width = self.hi - self.lo
-        if width <= 0.0:
-            idx = 0
-        else:
-            idx = int((x - self.lo) / width * self.NBINS)
-            if idx >= self.NBINS:
-                idx = self.NBINS - 1
-        self.bins[idx] += 1.0
-        self.n += 1
-
-    def _stretch(self, new_lo, new_hi):
-        if new_hi - new_lo == math.inf:
-            raise DomainError(f"feature values {new_lo!r} to {new_hi!r} span more than the largest float")
-        old = self.bins
-        nbins = self.NBINS
-        fresh = [0.0] * nbins
-        new_w = (new_hi - new_lo) / nbins
-        old_w = (self.hi - self.lo) / nbins
-        if old_w <= 0.0:
-            # all previous mass sits on a single point
-            idx = int((self.lo - new_lo) / new_w)
-            if idx >= nbins:
-                idx = nbins - 1
-            fresh[idx] = float(self.n)
-        else:
-            for k, cnt in enumerate(old):
-                if cnt == 0.0:
-                    continue
-                a = self.lo + k * old_w
-                b = a + old_w
-                m = int((a - new_lo) / new_w)
-                while m < nbins:
-                    seg_lo = new_lo + m * new_w
-                    seg_hi = seg_lo + new_w
-                    # conditional expressions pick what min/max would, at a
-                    # fraction of the call cost in this innermost loop
-                    overlap = (seg_hi if seg_hi < b else b) - (seg_lo if seg_lo > a else a)
-                    if overlap > 0.0:
-                        fresh[m] += cnt * overlap / old_w
-                    if seg_hi >= b:
-                        break
-                    m += 1
-        self.bins = fresh
-        self.lo = new_lo
-        self.hi = new_hi
-
-
 def _entropy(counts, total) -> float:
     if total <= 0.0:
         return 0.0
@@ -319,116 +237,79 @@ def _entropy(counts, total) -> float:
     return h
 
 
-# A class with no histogram of an attribute: every cut counts 0 below it.
-_ABSENT = _Histogram()
-_ABSENT.lo, _ABSENT.hi = math.inf, -math.inf
-
-# The interior cut points k / NBINS of a range, k = 1 .. NBINS - 1.
-_CUTS = np.arange(1, _Histogram.NBINS, dtype=float)
+# Candidate cuts per numeric attribute: lo + (hi - lo) * k / (NUM_CUTS + 1)
+# for k = 1 .. NUM_CUTS, evenly inside the classes' merged range.
+NUM_CUTS = 10
 
 
-def _left_counts(bins, lo, hi, n, cuts):
-    """Observations at or below each cut, per histogram.
-
-    ``bins`` is ``(..., NBINS)`` and ``lo``, ``hi`` and ``n`` are
-    ``(..., 1)``, one histogram per leading index; ``cuts`` broadcasts
-    against them. A cut inside a histogram's range counts the bins below
-    it plus the straddled bin's share, linear in the cut's position in
-    it. Run under ``np.errstate(all="ignore")``: positions of cuts
-    outside a range are computed, then discarded.
-    """
-    nbins = bins.shape[-1]
-    below = cuts < lo
-    above = cuts >= hi
-    pos = np.where(below | above, 0.0, (cuts - lo) / (hi - lo) * nbins)
-    # a cut below hi can still round to pos == NBINS when hi - lo dwarfs hi - cut
-    full = np.minimum(np.floor(pos), nbins - 1)
-    index = full.astype(np.intp)
-    prefix = np.zeros_like(bins)
-    np.cumsum(bins[..., :-1], axis=-1, out=prefix[..., 1:])
-    inside = (
-        np.take_along_axis(prefix, index, -1)
-        + np.take_along_axis(bins, index, -1) * (pos - full)
-    )
-    return np.where(below, 0.0, np.where(above, n, inside))
-
-
-def _entropies(counts, totals, keep):
-    """:func:`_entropy` of every column of ``counts`` (class rows first)
-    where ``keep`` holds, and 0 elsewhere.
-
-    Bit-identical to the scalar loop: the class terms are subtracted one
-    row at a time, in class order, and the logs come from ``math.log2``,
-    which ``np.log2`` can miss by an ulp.
-    """
-    p = counts / totals
-    positive = (counts > 0.0) & keep
-    terms = np.zeros_like(p)
-    picked = p[positive]
-    terms[positive] = picked * np.fromiter(map(math.log2, picked.tolist()), float, picked.size)
-    h = np.zeros_like(totals)
-    for row in terms:
-        h = h - row
-    return h
-
-
-def _numeric_gains(hists) -> dict:
+def _numeric_gains(leaf) -> dict:
     """Best cut of every numeric attribute of a leaf, by information gain.
 
-    ``hists`` maps an attribute to its per-class histograms (None for a
-    class that has shown no value of it). The candidates are the
-    ``NBINS - 1`` interior cut points of the classes' merged range, and
-    one array pass over (class, attribute, cut) scores them all. Returns
-    ``{attribute: (gain, threshold)}`` for every attribute with a cut
-    that leaves mass on both sides, the first cut of the highest gain.
-    The result is bit-identical to scoring one cut at a time in scalar
-    floats. A merged range wider than the largest float raises
-    :class:`DomainError`.
+    Each class is a normal estimate of the attribute, read from the leaf
+    model's count, mean and M2 (variance floored at ``VARIANCE_FLOOR``)
+    and bounded by the least and greatest value the class has shown.
+    Class y's weight at or below a cut t is n_y * Phi((t - mean_y) /
+    sd_y): 0 below the class minimum and n_y at or above its maximum.
+    Returns ``{attribute: (gain, threshold)}`` for every attribute with a
+    cut strictly inside the merged range that leaves weight on both
+    sides, the first cut of the highest gain; a NaN gain never wins. A
+    range wider than the largest float has no cut inside it, and an
+    attribute where some class's mean or M2 has overflowed is no
+    candidate.
     """
-    if not hists:
-        return {}
-    # (attribute, class, ...) lists, read as (class, attribute, ...) arrays
-    rows = [[_ABSENT if h is None else h for h in per_class] for per_class in hists.values()]
-    stats = np.array([[(h.lo, h.hi, h.n) for h in row] for row in rows], dtype=float)
-    bins = np.array([[h.bins for h in row] for row in rows]).transpose(1, 0, 2)
-    lo_c, hi_c, n_c = stats.T[..., None]
-    lo = lo_c.min(axis=0)
-    hi = hi_c.max(axis=0)
-    with np.errstate(all="ignore"):  # e.g. span * k overflows to inf, as floats do silently
-        span = hi - lo
-        wide = span[:, 0] == math.inf
-        if wide.any():  # every cut would be inf; _Histogram._stretch rejects such a range too
-            a = wide.argmax()
-            raise DomainError(f"feature values {float(lo[a, 0])!r} to {float(hi[a, 0])!r} span more than the largest float")
-        n = sum(n_c)  # class rows in order, as the scalar loop adds them
-        parent = _entropies(n_c, n, True)
-        cuts = lo + span * _CUTS / _Histogram.NBINS
-        left = _left_counts(bins, lo_c, hi_c, n_c, cuts)
-        nl = sum(left)
-        nr = n - nl
-        split = (nl > 0.0) & (nr > 0.0)
-        gain = (
-            parent
-            - nl / n * _entropies(left, nl, split)
-            - nr / n * _entropies(n_c - left, nr, split)
-        )
-        # the first cut of the highest gain wins, if that gain beats -1.0;
-        # NaN never does
-        score = np.where(split & (gain > -1.0), gain, -math.inf)
-    best = score.argmax(axis=1)
-    return {
-        j: (float(gain[a, k]), float(cuts[a, k]))
-        for a, (j, k) in enumerate(zip(hists, best))
-        if score[a, k] > -math.inf
-    }
+    nb = leaf.nb
+    c = nb._class_count
+    gains = {}
+    for j in nb._numeric:
+        seen = [y for y in range(c) if nb._n[y][j]]
+        if not seen or not all(math.isfinite(nb._mean[y][j]) and math.isfinite(nb._m2[y][j]) for y in seen):
+            continue
+        totals = [nb._n[y][j] for y in range(c)]
+        normals = []
+        for y in seen:
+            var = nb._m2[y][j] / totals[y]
+            if var < VARIANCE_FLOOR:
+                var = VARIANCE_FLOOR
+            normals.append((y, nb._mean[y][j], 1.0 / math.sqrt(2.0 * var), leaf.lo[y][j], leaf.hi[y][j]))
+        lo = min(leaf.lo[y][j] for y in seen)
+        hi = max(leaf.hi[y][j] for y in seen)
+        n = sum(totals)
+        parent = _entropy(totals, n)
+        best_gain = -math.inf
+        for k in range(1, NUM_CUTS + 1):
+            t = lo + (hi - lo) * k / (NUM_CUTS + 1)
+            if not lo < t < hi:
+                continue
+            left = [0.0] * c
+            for y, mean, scale, y_lo, y_hi in normals:
+                if t >= y_hi:
+                    left[y] = float(totals[y])
+                elif t >= y_lo:
+                    left[y] = totals[y] * 0.5 * (1.0 + math.erf((t - mean) * scale))
+            nl = sum(left)
+            nr = n - nl
+            if not (nl > 0.0 and nr > 0.0):
+                continue
+            right = [total - w for total, w in zip(totals, left)]
+            gain = parent - nl / n * _entropy(left, nl) - nr / n * _entropy(right, nr)
+            if gain > best_gain:
+                best_gain = gain
+                gains[j] = (gain, t)
+    return gains
 
 
 class _Leaf:
-    __slots__ = ("nb", "hists", "since")
+    """A tree leaf: its Naive Bayes model, the least and greatest value of
+    each (class, attribute) seen here (inf and -inf until one is), and the
+    instances since its last split attempt."""
+
+    __slots__ = ("nb", "lo", "hi", "since")
 
     def __init__(self, nb):
         self.nb = nb
-        self.hists = {}
+        d = nb.schema.n_attributes
+        self.lo = [[math.inf] * d for _ in range(nb._class_count)]
+        self.hi = [[-math.inf] * d for _ in range(nb._class_count)]
         self.since = 0
 
 
@@ -460,10 +341,14 @@ class HoeffdingTree:
     lead exceeds the Hoeffding radius at range log2(classes) and
     confidence ``split_confidence`` (1e-7), or when the radius has shrunk
     under ``tie_threshold`` (0.05; only ever for a strictly positive
-    gain, so a single-class leaf never splits). Numeric candidates are
-    the 63 interior cut points of the classes' merged histogram range,
-    scored for every numeric attribute in one array pass per split
-    attempt (:func:`_numeric_gains`); nominal attributes split multiway.
+    gain, so a single-class leaf never splits). Numeric attributes are
+    scored by the Gaussian observer of Pfahringer, Holmes & Kirkby
+    ("Handling numeric attributes in Hoeffding trees", PAKDD 2008): the
+    leaf model's per-class normal estimate, bounded by each class's
+    least and greatest value, weighs the ``NUM_CUTS`` (10) evenly spaced
+    cuts inside the classes' merged range (:func:`_numeric_gains`), so a
+    leaf keeps no statistics for splitting beyond two floats per class
+    and attribute. Nominal attributes split multiway.
     Missing values route left (child 0). Every attribute is a split
     candidate.
     """
@@ -502,19 +387,16 @@ class HoeffdingTree:
     def train(self, features, label):
         leaf, parent, slot = self._route(features)
         leaf.nb.train(features, label)
+        lo = leaf.lo[label]
+        hi = leaf.hi[label]
         for j in leaf.nb._numeric:
             v = features[j]
             if v is MISSING:
                 continue
-            per_class = leaf.hists.get(j)
-            if per_class is None:
-                per_class = [None] * self.schema.class_count
-                leaf.hists[j] = per_class
-            hist = per_class[label]
-            if hist is None:
-                hist = _Histogram()
-                per_class[label] = hist
-            hist.add(v)
+            if v < lo[j]:
+                lo[j] = v
+            if v > hi[j]:
+                hi[j] = v
         leaf.since += 1
         if leaf.since >= self.grace_period:
             leaf.since = 0
@@ -540,7 +422,7 @@ class HoeffdingTree:
         second_gain = 0.0
         best_attr = None
         best_threshold = None
-        numeric = _numeric_gains(leaf.hists)
+        numeric = _numeric_gains(leaf)
         for j, attr in enumerate(self.schema.attributes):
             if attr.kind == NOMINAL:
                 result = self._nominal_gain(leaf, j)

@@ -265,20 +265,10 @@ class TestCompare:
         code = run_cli("compare", "--streams", TINY, "--sl", "oracle")
         assert code == 2
         err = capsys.readouterr().err
-        assert "--streams/--learners/--al/--sl/--budgets/--seeds/--window:" in err
+        assert "--streams/--learners/--al/--sl/--budgets/--seeds:" in err
         # only the policies compare accepts are offered: no 'none'
         assert "'oracle'" in err
         assert err.rpartition("choose from ")[2].strip().split(", ") == list(GridSpec.self_label)
-
-    def test_window_below_one_fails_before_any_run(self, capsys):
-        # compare used to run every cell, record each as failed and exit 0
-        code = run_cli(*self.ARGS, "--window", "0")
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.err == (
-            "error: --streams/--learners/--al/--sl/--budgets/--seeds/--window: window must be at least 1\n"
-        )
-        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "flag, values, message",
@@ -311,7 +301,7 @@ class TestCompare:
         args = [arg for name, given in argv.items() for arg in (name, *given)]
         assert run_cli("compare", *args, "--records-out", str(records)) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: --streams/--learners/--al/--sl/--budgets/--seeds/--window: {message}\n"
+        assert captured.err == f"error: --streams/--learners/--al/--sl/--budgets/--seeds: {message}\n"
         assert captured.out == ""
         assert not records.exists()
 

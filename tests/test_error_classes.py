@@ -3,8 +3,8 @@ a ``driftlab`` module defines.
 
 There is one class per kind of fault: ``ConfigError`` for a setting or
 spec that no run can take, ``SchemaMismatch`` for stream data that is
-malformed or disagrees with its schema, and ``InvalidPosterior`` and
-``DomainError`` for values beyond float range. A new failure raises one
+malformed or disagrees with its schema, and ``InvalidPosterior`` for
+values beyond float range. A new failure raises one
 of these with its own message; an edit that adds or removes a class
 must edit this list too.
 """
@@ -16,7 +16,7 @@ import pkgutil
 import driftlab
 from driftlab.core import DriftLabError
 
-ERROR_CLASSES = ["ConfigError", "DomainError", "InvalidPosterior", "SchemaMismatch"]
+ERROR_CLASSES = ["ConfigError", "InvalidPosterior", "SchemaMismatch"]
 
 
 def defined_error_classes():

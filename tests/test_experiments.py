@@ -37,10 +37,6 @@ class TestGridSpec:
             GridSpec(streams=(stream,), self_label=("none",))
         with pytest.raises(ConfigError):
             GridSpec(streams=(stream,), budgets=(1.5,))
-        with pytest.raises(ConfigError, match="window"):
-            GridSpec(streams=(stream,), window=0)
-        with pytest.raises(ConfigError, match="^window must be an integer, got 2.5$"):
-            GridSpec(streams=(stream,), window=2.5)
         # no rows would leave the unknown learner unchecked
         with pytest.raises(ConfigError, match="no rows"):
             GridSpec(streams=(stream,), learners=("gbm",), budgets=())

@@ -71,22 +71,22 @@ DIGESTS = {
         "summary.json": "d91894d63c89162d38404f5d8d14c453a33e24e775e7ea2d00bc0fe759001470",
     },
     "compare": {
-        "records.jsonl": "8af2297379090cce67f3400dbf3f5352f37082494863ddbcc34c60fe1e7031c2",
-        "table.txt": "68e37ef153d9f21479778cd922d82b838d2583f781ea3255f00ff7c75a7ac9ad",
+        "records.jsonl": "55e86f1b21b85cba6c3c54e865b8f42a8810525ddff1264e06d553aeecaf3be5",
+        "table.txt": "cc6d174a482605a0acbbcddbbb970a5a3eb7db028df126c9f5c107f0d91bd659",
     },
     "generate": {
         "stream.csv": "a97fa12696f0998cb3f1465d4122b3287eb95d52bc57fc1424a7807718203f7a",
         "stream.csv.meta.json": "3c62c81033026bafa594259ee890d96a67a13b981936624895f5dd5b39712eaa",
     },
     "ht-randvar-cddm-0.1": {
-        "series.csv": "f00a7719f30d38b4cdd9a90dd16996108800e60139b121c6fb4442cde4878ad8",
+        "series.csv": "10367c54a61604ba734cb59476e5e824479957f98d94ed0242e72e2046a58041",
         "series.csv.meta.json": "485b256ebabe564ece9e915ce8a5c8fac274230d761771ce2adb5f0ff01f98ed",
-        "summary.json": "d6cc4e8ebeab7ddb56e03a3672a94139c42d69196ab1450e4da386d927757be3",
+        "summary.json": "f75718a0c18b287b50f92f9279090211088e5fea80855c36b3ea6cc497bb9789",
     },
     "ht-sampling-cddm-0.5": {
-        "series.csv": "3c160388ab927c83cc023f16a28d6c90b7bd5da9603653c038ca2665ddebf4b3",
+        "series.csv": "980d8b7321a70645a2e0277ca63908d7b3cfbd8ab2f23f5bd24f7b1f7731bb10",
         "series.csv.meta.json": "36c4f2ce393c4c4baf3dbfacac6cc19d29251971af490070c39ee34a2eb3748e",
-        "summary.json": "339d0c8dc9c06cadc65e6bcf310c459813f4b72611b5876636b4c8b3b6153d7e",
+        "summary.json": "04ae5a2a5b6343e49f0544a7d03876d7e9e6ff938bb186391f6125336f3ee284",
     },
     "nb-random-none-0.1": {
         "series.csv": "8e44d304cb08db3a6a600d4d1a1fffb6151dc0ea726f1ea6375d08f89ac8d9e9",

@@ -1,5 +1,6 @@
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -17,15 +18,19 @@ from driftlab.core import (
     SchemaMismatch,
     StreamSchema,
 )
+from driftlab.hybrid import HybridConfig, build_runner
 from driftlab.learners import (
     AccuracyWeightedEnsemble,
-    DomainError,
     HoeffdingTree,
     NaiveBayes,
     _BayesStack,
+    _Leaf,
+    _numeric_gains,
     hoeffding_bound,
 )
+from driftlab.streams import parse_stream_spec
 
+NUM1 = StreamSchema((Attribute("x", NUMERIC),), ("a", "b"))
 NUM2 = StreamSchema((Attribute("x0", NUMERIC), Attribute("x1", NUMERIC)), ("a", "b"))
 NOM1 = StreamSchema((Attribute("f", NOMINAL, ("A", "B")),), ("c0", "c1"))
 
@@ -278,232 +283,177 @@ class TestHoeffdingTree:
             ht.train((0.0, 0.0), 5)
 
 
-class TestHistogram:
-    def test_counts_and_range(self):
-        from driftlab.learners import _Histogram
+class TestNumericSplits:
+    @pytest.mark.parametrize(
+        "a, b, cut, gain",
+        [
+            # class a: mean 1.5, variance 1.25; class b: mean 5, variance 5.
+            # The cuts are 8k/11; at k = 5 all of class a lies left, and
+            # 4 * Phi((40/11 - 5) / sqrt 5) of class b
+            ([0.0, 1.0, 2.0, 3.0], [2.0, 4.0, 6.0, 8.0], 40 / 11, 0.52492402),
+            # the cuts are 12k/11; k = 3 lies above class a's maximum and
+            # below class b's minimum, so it separates the classes, though
+            # b's normal puts weight below 36/11
+            ([0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 12.0], 36 / 11, 1.0),
+            # the cuts are 1 .. 10; 1 to 9 separate the classes alike, and
+            # the first of them wins
+            ([0.0, 1.0], [10.0, 11.0], 1.0, 1.0),
+            # class a's variance, 1.875e-7, is floored at 1e-6
+            ([0.0, 0.0, 0.0, 0.001], [0.0005, 0.001, 0.0015, 0.002], 0.002 * 6 / 11, 0.36340087),
+        ],
+        ids=["gaussian", "separating", "tied", "floored"],
+    )
+    def test_two_class_leaf_matches_the_scalar_reference(self, a, b, cut, gain):
+        leaf = leaf_of(NUM1, [(a, 0), (b, 1)])
+        want_gain, want_cut = reference_best_cut([a, b])
+        assert (want_cut, want_gain) == (cut, pytest.approx(gain, abs=1e-8))
+        assert _numeric_gains(leaf) == {0: (pytest.approx(want_gain, rel=1e-12, abs=0.0), want_cut)}
 
-        h = _Histogram()
-        for v in (1.0, 2.0, 3.0, 4.0):
-            h.add(v)
-        assert h.n == 4
-        assert (h.lo, h.hi) == (1.0, 4.0)
-        assert sum(h.bins) == pytest.approx(4.0)
-
-    def test_stretch_preserves_mass(self):
-        from driftlab.learners import _Histogram
-
-        h = _Histogram()
-        rng = np.random.default_rng(0)
-        for v in rng.normal(size=500):
-            h.add(float(v))
-        h.add(50.0)  # forces a big stretch
-        assert sum(h.bins) == pytest.approx(501.0)
-        assert h.n == 501
-
-    def test_left_counts_interpolate(self):
-        from driftlab.learners import _Histogram
-
-        h = _Histogram()
-        for v in np.linspace(0.0, 64.0, 1000):
-            h.add(float(v))
-        below, at_hi, middle = left_counts(h, (-1.0, 64.0, 32.0))
-        assert below == 0.0
-        assert at_hi == 1000.0
-        assert middle == pytest.approx(500.0, abs=10.0)
-
-    def test_left_count_just_below_hi(self):
-        from driftlab.learners import _Histogram
-
-        # (0 - lo) / (hi - lo) rounds to exactly 1.0, one past the last bin
-        h = _Histogram()
-        h.add(1.1754943508222875e-38)
-        h.add(-1.0)
-        assert left_counts(h, (0.0,)) == [pytest.approx(2.0)]
-
-    def test_range_wider_than_the_largest_float_is_a_domain_error(self):
-        # the bin position would be inf / inf; it used to end in a bare
-        # ValueError from int(nan)
-        ht = HoeffdingTree(StreamSchema((Attribute("x", NUMERIC),), ("a", "b")))
-        ht.train((-1.7e308,), 0)
-        ht.train((None,), 1)
-        with pytest.raises(DomainError, match="largest float"):
-            ht.train((1.7e308,), 0)
+    def test_leaf_keeps_each_class_range_and_skips_missing_cells(self):
+        leaf = leaf_of(NUM2, [([3.0, MISSING, -1.0], 0), ([MISSING], 1)])
+        assert (leaf.lo[0], leaf.hi[0]) == ([-1.0, 0.0], [3.0, 0.0])
+        assert (leaf.lo[1], leaf.hi[1]) == ([math.inf, 0.0], [-math.inf, 0.0])
 
     def test_classes_1e307_either_side_of_zero_split(self):
         assert train_opposite_points(1e307).n_splits == 1
 
-    def test_classes_whose_merged_range_is_wider_than_the_largest_float_is_a_domain_error(self):
+    def test_a_cut_with_no_weight_to_its_right_is_no_candidate(self):
+        # a million values at 0 and one at 11 (sd 0.011): every cut from 1
+        # to 10 leaves the whole normal to its left
+        stats = (10**6 + 1, 11 / (10**6 + 1), 121.0, 0.0, 11.0)
+        assert _numeric_gains(leaf_with_stats(2, [[stats, stats]])) == {}
+
+    def test_cuts_that_round_onto_the_range_ends_give_no_split(self):
+        # floats are 2 apart at 1e16: cuts k = 1 .. 5 round down to lo,
+        # k = 6 .. 10 up to hi
+        a, b = (1, 1e16, 0.0, 1e16, 1e16), (1, 1e16 + 2, 0.0, 1e16 + 2, 1e16 + 2)
+        assert _numeric_gains(leaf_with_stats(2, [[a, b]])) == {}
+
+    def test_classes_1e308_either_side_of_zero_give_no_split(self):
         # each class's own range is a single point; every cut of the merged
-        # range used to be inf, and the tree silently never split
-        with pytest.raises(DomainError, match=r"-1e\+308 to 1e\+308 span more than the largest float"):
-            train_opposite_points(1e308)
+        # range is inf, with nothing to its right
+        assert train_opposite_points(1e308).n_splits == 0
+
+    def test_range_wider_than_the_largest_float_gives_no_split(self):
+        ht = HoeffdingTree(NUM1)
+        for v, y in ((-1.7e308, 0), (MISSING, 1), (1.7e308, 0)):
+            ht.train((v,), y)
+        assert _numeric_gains(ht._root) == {}
+
+    def test_an_overflowed_mean_or_m2_gives_no_split(self):
+        for name in ("_mean", "_m2"):
+            leaf = leaf_of(NUM1, [([0.0, 1.0], 0), ([5.0, 6.0], 1)])
+            assert list(_numeric_gains(leaf)) == [0]
+            getattr(leaf.nb, name)[1][0] = math.inf
+            assert _numeric_gains(leaf) == {}
+
+    def test_gaussian_clusters_in_eight_dimensions_never_split(self):
+        spec = "gen:family=gaussian-clusters,kind=sudden,n=20000,changes=10000,seed=1,dims=8,classes=4"
+        stream = parse_stream_spec(spec).load()
+        runner = build_runner(stream.schema, HybridConfig("ht", "randvar", "none", 0.5, seed=0))
+        for instance in stream.instances:
+            runner.process_instance(instance)
+        assert runner.learner.n_splits == 0
+
+
+def leaf_of(schema, batches):
+    """The root leaf of a tree that never tries a split, trained on each
+    ``(values, label)`` batch in turn (one-attribute rows, the rest 0.0)."""
+    ht = with_constants(HoeffdingTree(schema), grace_period=10**9)
+    for values, label in batches:
+        for v in values:
+            ht.train((v,) + (0.0,) * (schema.n_attributes - 1), label)
+    return ht._root
+
+
+def reference_best_cut(classes):
+    """(gain, cut) of the best of the 10 cuts, from the definition: each
+    class's values as a normal with their mean and population variance
+    (floored at 1e-6), clipped to the class's own range."""
+
+    def entropy(weights):
+        total = sum(weights)
+        return -sum(w / total * math.log2(w / total) for w in weights if w > 0)
+
+    lo = min(min(values) for values in classes)
+    hi = max(max(values) for values in classes)
+    sizes = [len(values) for values in classes]
+    best = None
+    for k in range(1, 11):
+        t = lo + (hi - lo) * k / 11
+        left = []
+        for values in classes:
+            if t < min(values):
+                left.append(0.0)
+            elif t >= max(values):
+                left.append(float(len(values)))
+            else:
+                variance = max(statistics.pvariance(values), 1e-6)
+                normal = statistics.NormalDist(statistics.fmean(values), math.sqrt(variance))
+                left.append(len(values) * normal.cdf(t))
+        right = [size - w for size, w in zip(sizes, left)]
+        n, nl = sum(sizes), sum(left)
+        gain = entropy(sizes) - nl / n * entropy(left) - (n - nl) / n * entropy(right)
+        if best is None or gain > best[0]:
+            best = (gain, t)
+    return best
+
+
+def leaf_with_stats(classes, attributes):
+    """A leaf of ``classes`` classes whose statistics of numeric attribute j
+    are ``attributes[j]``: per class, None (no values) or (count, mean, M2,
+    and two values that order into the class's range)."""
+    schema = StreamSchema(
+        tuple(Attribute(f"x{j}", NUMERIC) for j in range(len(attributes))),
+        tuple(f"c{y}" for y in range(classes)),
+    )
+    leaf = _Leaf(NaiveBayes(schema))
+    nb = leaf.nb
+    for j, per_class in enumerate(attributes):
+        for y, stats in enumerate(per_class[:classes]):
+            if stats is not None:
+                nb._n[y][j], nb._mean[y][j], nb._m2[y][j], a, b = stats
+                leaf.lo[y][j], leaf.hi[y][j] = min(a, b), max(a, b)
+    return leaf
 
 
 def train_opposite_points(scale):
     """A tree fed one grace period of class a at -scale and class b at +scale."""
-    ht = HoeffdingTree(StreamSchema((Attribute("x", NUMERIC),), ("a", "b")))
+    ht = HoeffdingTree(NUM1)
     for i in range(ht.grace_period):
         ht.train((scale if i % 2 else -scale,), i % 2)
     return ht
 
 
-def left_counts(hist, cuts):
-    """The array pass's left counts of one histogram at ``cuts``."""
-    from driftlab.learners import _left_counts
-
-    with np.errstate(all="ignore"):
-        left = _left_counts(
-            np.array(hist.bins), np.array([hist.lo]), np.array([hist.hi]), float(hist.n), np.array(cuts)
-        )
-    return left.tolist()
-
-
-# The scalar split scan that the array pass (_numeric_gains) replaced,
-# kept verbatim as its reference: the pass must match it bit for bit.
-
-
-def reference_cumulative(hist) -> list:
-    out = [0.0] * (hist.NBINS + 1)
-    acc = 0.0
-    for k, cnt in enumerate(hist.bins):
-        acc += cnt
-        out[k + 1] = acc
-    return out
-
-
-def reference_count_le(hist, x, prefix) -> float:
-    """Observations with value <= x, given this histogram's prefix sums."""
-    if hist.n == 0 or x < hist.lo:
-        return 0.0
-    if x >= hist.hi:
-        return float(hist.n)
-    pos = (x - hist.lo) / (hist.hi - hist.lo) * hist.NBINS
-    # x < hi can still round to pos == NBINS when hi - lo dwarfs hi - x
-    full = min(int(pos), hist.NBINS - 1)
-    return prefix[full] + hist.bins[full] * (pos - full)
-
-
-def reference_numeric_gain(per_class):
-    from driftlab.learners import _entropy, _Histogram
-
-    c = len(per_class)
-    lo = math.inf
-    hi = -math.inf
-    totals = [0.0] * c
-    for y in range(c):
-        hist = per_class[y]
-        if hist is None or hist.n == 0:
-            continue
-        lo = min(lo, hist.lo)
-        hi = max(hi, hist.hi)
-        totals[y] = float(hist.n)
-    n = sum(totals)
-    if n <= 0.0 or hi <= lo:
-        return None
-    prefixes = [reference_cumulative(h) if h is not None else None for h in per_class]
-    parent_h = _entropy(totals, n)
-    nbins = _Histogram.NBINS
-    best_gain = -1.0
-    best_t = None
-    span = hi - lo
-    for k in range(1, nbins):
-        t = lo + span * k / nbins
-        left = [0.0] * c
-        nl = 0.0
-        for y in range(c):
-            hist = per_class[y]
-            if hist is None:
-                continue
-            cnt = reference_count_le(hist, t, prefixes[y])
-            left[y] = cnt
-            nl += cnt
-        nr = n - nl
-        if nl <= 0.0 or nr <= 0.0:
-            continue
-        right = [totals[y] - left[y] for y in range(c)]
-        gain = (
-            parent_h
-            - nl / n * _entropy(left, nl)
-            - nr / n * _entropy(right, nr)
-        )
-        if gain > best_gain:
-            best_gain = gain
-            best_t = t
-    if best_t is None:
-        return None
-    return best_gain, best_t
-
-
-# Half the largest float: two values this far apart span 1.7e308, the
-# widest range a single histogram holds.
-HALF_MAX = 8.5e307
-
-# What one class of a generated leaf saw of one attribute: nothing (no
-# histogram), a few picked values, or (n, seed, scale) for n draws of
-# N(class, 1) * scale, whose stretched histograms hold fractional counts.
-class_values = st.one_of(
+# What one class of a leaf holds for one attribute: nothing, or its count,
+# mean, M2 and two values that order into its range. Means and M2s may have
+# overflowed to inf or NaN.
+finite = st.floats(allow_nan=False, allow_infinity=False)
+class_stats = st.one_of(
     st.none(),
-    st.lists(
-        st.one_of(
-            st.floats(-1e6, 1e6, allow_subnormal=False),
-            st.sampled_from((0.0, -1.0, 1.0, 1.1754943508222875e-38, -HALF_MAX, HALF_MAX)),
-        ),
-        min_size=1,
-        max_size=8,
+    st.tuples(
+        st.integers(1, 10**6),
+        st.one_of(finite, st.sampled_from((math.inf, -math.inf, math.nan))),
+        st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.sampled_from((math.inf, math.nan))),
+        finite,
+        finite,
     ),
-    st.tuples(st.integers(1, 200), st.integers(0, 2**32 - 1), st.sampled_from((1.0, 1e-3, 1e6))),
 )
 
 
-@st.composite
-def leaf_values(draw):
-    """{attribute: one class_values entry per class}, for 2, 4 or 9
-    classes; each attribute has a histogram in at least one class."""
-    classes = draw(st.sampled_from((2, 4, 9)))
-    per_class = st.lists(class_values, min_size=classes, max_size=classes)
-    attrs = st.lists(per_class.filter(lambda entries: any(e is not None for e in entries)), min_size=1, max_size=3)
-    return dict(enumerate(draw(attrs)))
-
-
 @settings(max_examples=300, deadline=None)
-@given(leaf_values())
-# the cut at 0.0 falls just below class 0's hi, where pos rounds to NBINS
-@example({0: [[1.1754943508222875e-38, -1.0], [-1.0, 1.0]]})
-# classes with no histogram, and a single-point histogram (lo == hi)
-@example({0: [None, [2.5, 2.5, 2.5], [0.0, 1.0, 3.0], None]})
-# spans of 1.7e308, where span * k overflows to inf for the upper cuts
-@example({0: [[-HALF_MAX, 0.0], [HALF_MAX, 1.0]], 1: [[-HALF_MAX, HALF_MAX], [0.0]]})
-# np.log2 in place of math.log2 moves a bit of the best gain here
-@example({0: [(38, 190412, 1.0), (124, 341465, 1.0)]})
-@example({0: [(41, 628015, 1.0), (119, 97337, 1.0), (88, 848395, 1.0), (76, 389879, 1.0)]})
-# a pairwise sum over the 9 classes in place of row by row moves a bit here
-@example({0: [(102, 993908, 1.0), (58, 414002, 1.0), (186, 50631, 1.0), (38, 861168, 1.0),
-              (157, 98702, 1.0), (113, 611097, 1.0), (34, 953893, 1.0), (149, 225127, 1.0),
-              (29, 90122, 1.0)]})
-def test_numeric_gains_match_the_scalar_scan_bit_for_bit(leaf):
-    from driftlab.learners import _Histogram, _numeric_gains
-
-    hists = {}
-    for j, entries in leaf.items():
-        hists[j] = per_class = []
-        for y, values in enumerate(entries):
-            if values is None:
-                per_class.append(None)
-                continue
-            if isinstance(values, tuple):
-                n, seed, scale = values
-                values = (np.random.default_rng(seed).normal(y, 1.0, n) * scale).tolist()
-            hist = _Histogram()
-            for v in values:
-                hist.add(v)
-            per_class.append(hist)
-    want = {}
-    for j, per_class in hists.items():
-        result = reference_numeric_gain(per_class)
-        if result is not None:
-            want[j] = tuple(map(float.hex, result))
-    got = {j: tuple(map(float.hex, result)) for j, result in _numeric_gains(hists).items()}
-    assert got == want
+@given(st.sampled_from((2, 4)), st.lists(st.lists(class_stats, min_size=4, max_size=4), min_size=1, max_size=3))
+# classes at the float limits: the merged range is wider than the largest float
+@example(2, [[(3, -1.7e308, 0.0, -1.7e308, -1.7e308), (3, 1.7e308, 0.0, 1.7e308, 1.7e308), None, None]])
+def test_numeric_gains_are_finite_and_cut_inside_the_range(classes, attributes):
+    leaf = leaf_with_stats(classes, attributes)
+    nb = leaf.nb
+    gains = _numeric_gains(leaf)
+    for j, (gain, cut) in gains.items():
+        seen = [y for y in range(classes) if nb._n[y][j]]
+        assert math.isfinite(gain)
+        assert min(leaf.lo[y][j] for y in seen) < cut < max(leaf.hi[y][j] for y in seen)
+        assert all(math.isfinite(nb._mean[y][j]) and math.isfinite(nb._m2[y][j]) for y in seen)
 
 
 class TestAccuracyWeightedEnsemble:

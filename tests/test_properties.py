@@ -28,13 +28,13 @@ from driftlab.hybrid import (
     HybridRunner,
     build_runner,
 )
-from driftlab.learners import AccuracyWeightedEnsemble, DomainError, HoeffdingTree, NaiveBayes
+from driftlab.learners import AccuracyWeightedEnsemble, HoeffdingTree, NaiveBayes
 from driftlab.selflabel import SelfLabelDecision
 
 # Within +-OVERFLOW a squared deviation stays finite even times the
 # Gaussian's largest 1/(2 var), 0.5/VARIANCE_FLOOR, summed over 4 attributes.
 OVERFLOW = 1e150
-OVERFLOW_ERRORS = (InvalidPosterior, DomainError)
+OVERFLOW_ERRORS = (InvalidPosterior,)
 
 
 def numeric_values(bound):

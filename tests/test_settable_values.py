@@ -28,7 +28,6 @@ SETTABLE_VALUES = [
     "driftlab compare --sl",
     "driftlab compare --streams",
     "driftlab compare --table-out",
-    "driftlab compare --window",
     "driftlab generate --out",
     "driftlab generate --stream",
     "driftlab run --al",
@@ -49,7 +48,6 @@ SETTABLE_VALUES = [
     "experiments.GridSpec.__init__(learners)",
     "experiments.GridSpec.__init__(seeds)",
     "experiments.GridSpec.__init__(self_label)",
-    "experiments.GridSpec.__init__(window)",
     "experiments.run_grid(jobs)",
     "generators.DriftProfile.__init__(change_points)",
     "generators.DriftProfile.__init__(cycle_length)",
@@ -123,4 +121,4 @@ def cli_flags():
 
 def test_settable_values_are_exactly_the_inventory():
     assert sorted(code_settings() + cli_flags()) == SETTABLE_VALUES
-    assert len(SETTABLE_VALUES) == 59
+    assert len(SETTABLE_VALUES) == 57
