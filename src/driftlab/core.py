@@ -141,11 +141,8 @@ class ClassPosterior:
 
     def __init__(self, probs):
         """Normalize ``probs``, a learner's 2+ entries, none negative; a
-        NaN or inf entry makes the sum non-finite, which raises. ``+=`` in
-        order, as ``sum()`` rounds differently from Python 3.12."""
-        total = 0.0
-        for p in probs:
-            total += p
+        NaN or inf entry makes the sum non-finite, which raises."""
+        total = ordered_sum(probs)
         if not 0.0 < total < math.inf:  # an inf entry would normalize to NaN
             raise _invalid(probs, total)
         inv = 1.0 / total
@@ -178,6 +175,20 @@ class ClassPosterior:
 
     def __repr__(self):
         return f"ClassPosterior({self.probs!r})"
+
+
+def ordered_sum(values) -> float:
+    """``values`` added left to right with ``+=``, starting from ``0.0``.
+
+    This package adds every list of floats here, never with ``sum()``:
+    from Python 3.12 ``sum()`` of floats compensates its rounding
+    (Neumaier), so its totals, and every output built from them, would
+    differ from those of 3.10 and 3.11 in the last bits.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def draws(method):

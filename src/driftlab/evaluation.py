@@ -16,6 +16,8 @@ from collections import deque
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
+from .core import ordered_sum
+
 
 class PrequentialWindow:
     """Sliding-window 0/1 loss tracker with an exact running sum; the
@@ -119,7 +121,7 @@ def build_report(cells) -> ComparisonReport:
     judged = [c for c in hybrids if c.improved is not None]
     return ComparisonReport(
         cells=tuple(flagged),
-        acc=sum(c.accuracy for c in hybrids) / len(hybrids) if hybrids else 0.0,
+        acc=ordered_sum(c.accuracy for c in hybrids) / len(hybrids) if hybrids else 0.0,
         fh=sum(c.improved for c in judged) / len(judged) if judged else 0.0,
         hybrid_cells=len(hybrids),
     )

@@ -16,7 +16,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from .core import ConfigError
+from .core import ConfigError, ordered_sum
 from .evaluation import CellResult, ComparisonReport, build_report
 from .hybrid import ACTIVE, SELF_LABEL, HybridConfig, run_stream
 from .streams import StreamSpec
@@ -192,8 +192,8 @@ def run_grid(spec: GridSpec, jobs: int = 1) -> ComparisonReport:
                 strategy=row.strategy,
                 hybrid=config.self_label != "none",
                 budget=config.budget,
-                accuracy=0.0 if errors else sum(a for a, _, _ in chunk) / n_seeds,
-                spend=0.0 if errors else sum(s for _, s, _ in chunk) / n_seeds,
+                accuracy=0.0 if errors else ordered_sum(a for a, _, _ in chunk) / n_seeds,
+                spend=0.0 if errors else ordered_sum(s for _, s, _ in chunk) / n_seeds,
                 seeds=n_seeds,
                 error=errors[0] if errors else None,
             )

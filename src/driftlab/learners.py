@@ -22,6 +22,7 @@ from .core import (
     InvalidPosterior,
     SchemaMismatch,
     StreamSchema,
+    ordered_sum,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -189,14 +190,11 @@ class NaiveBayes:
             if s > best:
                 best = s
         probs = [0.0] * c
-        total = 0.0
         for y in range(c):
             sy = scores[y]
             if sy is not None:
-                e = math.exp(sy - best)
-                probs[y] = e
-                total += e
-        inv = 1.0 / total
+                probs[y] = math.exp(sy - best)
+        inv = 1.0 / ordered_sum(probs)
         for y in range(c):
             probs[y] *= inv
         return probs
@@ -286,7 +284,7 @@ def _numeric_gains(leaf) -> dict:
                     left[y] = float(totals[y])
                 elif t >= y_lo:
                     left[y] = totals[y] * 0.5 * (1.0 + math.erf((t - mean) * scale))
-            nl = sum(left)
+            nl = ordered_sum(left)
             nr = n - nl
             if not (nl > 0.0 and nr > 0.0):
                 continue
@@ -608,9 +606,7 @@ class AccuracyWeightedEnsemble:
             self._stack = None
             return
         weights = [w for _, w in members]
-        total = 0.0
-        for w in weights:
-            total += w
+        total = ordered_sum(weights)
         if total > 0.0:
             used = [k for k, w in enumerate(weights) if w != 0.0]
             self._scale = 1.0 / total
@@ -664,10 +660,7 @@ class AccuracyWeightedEnsemble:
             # gets 0.0, and any NaN score makes the whole row NaN
             best = max(scores)
             probs = [exp(s - best) for s in scores]
-            total = 0.0
-            for p in probs:
-                total += p
-            inv = 1.0 / total
+            inv = 1.0 / ordered_sum(probs)
             acc = [a + weight * (p * inv) for a, p in zip(acc, probs)]
         scale = self._scale
         return [a * scale for a in acc]

@@ -12,6 +12,7 @@ from driftlab.core import (
     DriftLabError,
     InvalidPosterior,
     StreamSchema,
+    ordered_sum,
 )
 
 
@@ -23,6 +24,16 @@ def two_class_schema():
         ),
         ("no", "yes"),
     )
+
+
+def test_ordered_sum_adds_left_to_right():
+    # a compensated sum, as sum() is from Python 3.12, gives 2.0
+    assert ordered_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+    assert ordered_sum(iter([0.1] * 10)) == 0.9999999999999999
+
+
+def test_ordered_sum_of_nothing_is_zero():
+    assert ordered_sum([]) == 0.0
 
 
 def test_attribute_kind_validation():

@@ -10,7 +10,11 @@ edit that adds or removes a setting must edit this list too.
 import argparse
 import importlib
 import inspect
+import json
+import pathlib
 import pkgutil
+
+import pytest
 
 import driftlab
 from driftlab import cli
@@ -122,3 +126,88 @@ def cli_flags():
 def test_settable_values_are_exactly_the_inventory():
     assert sorted(code_settings() + cli_flags()) == SETTABLE_VALUES
     assert len(SETTABLE_VALUES) == 57
+
+
+# Every flag of every subcommand changes some output it computes, or is
+# named below with the reason it must not. Outputs are the files each
+# subcommand writes, with the settings they echo (``config`` in a run's
+# summary and sidecar, ``stream`` in a generated CSV's sidecar) left out:
+# a flag that is only echoed changes nothing. Each flag runs once at its
+# default, or at the base value if it has none, and once at the value here.
+TINY = "gen:family=gaussian-clusters,kind=sudden,n=400,changes=200,seed=1"
+OTHER = "gen:family=gaussian-clusters,kind=sudden,n=400,changes=200,seed=2"
+BASE = {
+    "run": ["--stream", TINY, "--series-out", "series.csv", "--summary-out", "summary.json"],
+    "compare": ["--streams", TINY, "--table-out", "table.txt", "--records-out", "records.jsonl"],
+    "generate": ["--stream", TINY, "--out", "stream.csv"],
+}
+CHANGED = {
+    "driftlab compare --al": "random",
+    "driftlab compare --budgets": "0.3",
+    "driftlab compare --learners": "awe",
+    "driftlab compare --seeds": "2",
+    "driftlab compare --sl": "cddm",
+    "driftlab compare --streams": OTHER,
+    "driftlab generate --stream": OTHER,
+    "driftlab run --al": "random",
+    "driftlab run --budget": "0.5",
+    "driftlab run --learner": "awe",
+    "driftlab run --seed": "1",
+    "driftlab run --sl": "cddm",
+    "driftlab run --stream": OTHER,
+    "driftlab run --stride": "7",
+    "driftlab run --window": "50",
+}
+SAME = {
+    "driftlab compare --jobs": ("2", "a grid's outputs do not depend on how many processes run it"),
+}
+PATHS = {
+    "driftlab compare --records-out": "an output path",
+    "driftlab compare --table-out": "an output path",
+    "driftlab generate --out": "an output path",
+    "driftlab run --series-out": "an output path",
+    "driftlab run --summary-out": "an output path",
+}
+ECHOED = ("config", "stream")
+
+
+def computed_outputs(flag, value=None) -> dict:
+    """What ``flag``'s subcommand computes from the base arguments, with
+    ``flag`` set to ``value`` (``None`` leaves it at its default)."""
+    command, name = flag.split()[1:]
+    argv = list(BASE[command])
+    if value is not None:
+        if name in argv:
+            argv[argv.index(name) + 1] = value
+        else:
+            argv += [name, value]
+    assert cli.main([command] + argv) == 0
+    outputs = {}
+    for path in sorted(pathlib.Path().iterdir()):
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            payload = {k: v for k, v in json.loads(text).items() if k not in ECHOED}
+            text = json.dumps(payload, sort_keys=True)
+        outputs[path.name] = text
+        path.unlink()
+    return outputs
+
+
+def test_every_flag_is_checked_or_named():
+    assert sorted({**CHANGED, **SAME, **PATHS}) == sorted(cli_flags())
+
+
+@pytest.fixture
+def outputs_dir(tmp_path, monkeypatch):
+    monkeypatch.delenv("DRIFTLAB_JOBS", raising=False)
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("flag", sorted(CHANGED))
+def test_flag_changes_a_computed_output(flag, outputs_dir):
+    assert computed_outputs(flag) != computed_outputs(flag, CHANGED[flag])
+
+
+@pytest.mark.parametrize("flag", sorted(SAME))
+def test_flag_leaves_every_output_the_same(flag, outputs_dir):
+    assert computed_outputs(flag) == computed_outputs(flag, SAME[flag][0])
