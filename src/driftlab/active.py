@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import ClassPosterior, draws
+from .core import ClassPosterior, adaptive_step, draws
 
 
 class QueryDecision(NamedTuple):
@@ -65,8 +65,10 @@ class RandomizedVariableUncertainty:
     factor eta ~ Normal(1, noise) and queries iff the top posterior is
     at most threshold * eta; buying a label tightens the threshold by
     the step factor, passing loosens it, and the threshold is clamped to
-    [1/classes, 1]; ``step`` is 0.01 and ``noise`` 1.0. With ``noise = 0``
-    this is the plain deterministic variable-uncertainty rule. A negative eta draw simply means "don't
+    [1/classes, 1] (:func:`~driftlab.core.adaptive_step`, the walk of
+    the ``uni`` and ``randuni`` self-labeling bars too); ``step`` is 0.01
+    and ``noise`` 1.0. With ``noise = 0`` this is the plain deterministic
+    variable-uncertainty rule. A negative eta draw simply means "don't
     query" since no posterior is negative.
     """
 
@@ -82,18 +84,7 @@ class RandomizedVariableUncertainty:
         return self.threshold
 
     def decide(self, posterior: ClassPosterior) -> QueryDecision:
-        threshold = self.threshold
-        randomized = threshold * (1.0 + self.noise * self._normal())
-        if posterior.top_prob <= randomized:
-            query = True
-            threshold *= 1.0 - self.step
-        else:
-            query = False
-            threshold *= 1.0 + self.step
-        floor = 1.0 / len(posterior.probs)
-        if threshold < floor:
-            threshold = floor
-        elif threshold > 1.0:
-            threshold = 1.0
-        self.threshold = threshold
+        randomized = self.threshold * (1.0 + self.noise * self._normal())
+        query = posterior.top_prob <= randomized
+        self.threshold = adaptive_step(self.threshold, not query, self.step, len(posterior.probs))
         return QueryDecision(query, randomized)

@@ -198,6 +198,18 @@ def draws(method):
         yield from method(256).tolist()
 
 
+def adaptive_step(bar: float, up: bool, step: float, class_count: int) -> float:
+    """An adaptive bar after one decision: times ``1 + step`` if ``up``,
+    else times ``1 - step``, clamped to [1/class_count, 1]."""
+    bar *= 1.0 + step if up else 1.0 - step
+    floor = 1.0 / class_count
+    if bar < floor:
+        return floor
+    if bar > 1.0:
+        return 1.0
+    return bar
+
+
 def _invalid(probs, total) -> InvalidPosterior:
     for i, p in enumerate(probs):
         if not p >= 0.0:

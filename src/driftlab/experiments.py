@@ -11,7 +11,6 @@ cannot be read, or a setting no run can take, ends it.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -111,18 +110,17 @@ _stream_cache: dict = {}
 
 
 def _load_stream(spec: StreamSpec, seed: int):
-    # keyed on the full description, since display names can collide;
-    # generator specs without a pinned seed produce one stream per run
-    # seed, everything else is shared across the grid. A process runs
+    # keyed on the stream name, which GridSpec keeps unique within a
+    # grid; generator specs without a pinned seed produce one stream per
+    # run seed, everything else is shared across the grid. A process runs
     # its tasks in row order and rows are stream-major, so a new spec
     # drops the old one's streams: each spec still loads once, and the
     # cache holds one spec's streams at a time
-    described = json.dumps(spec.describe(), sort_keys=True)
     pinned = spec.generator is None or spec.generator["seed"] is not None
-    key = (described, None if pinned else seed)
+    key = (spec.name, None if pinned else seed)
     stream = _stream_cache.get(key)
     if stream is None:
-        if any(cached != described for cached, _ in _stream_cache):
+        if any(cached != spec.name for cached, _ in _stream_cache):
             _stream_cache.clear()
         stream = spec.load(seed_fallback=seed)
         _stream_cache[key] = stream

@@ -104,22 +104,16 @@ class DriftProfile:
         self.validate_length(n)
         points = self.change_points
         positions = np.arange(n)
-        segment = np.searchsorted(points, positions, side="right").astype(np.float64)
+        phases = np.searchsorted(points, positions, side="right").astype(np.float64)
         if self.kind == SUDDEN:
-            return segment
-        if self.kind == INCREMENTAL:
-            phases = segment
-            for j, cp in enumerate(points):
-                idx = np.arange(cp, cp + self.width)
-                phases[idx] = j + (idx - cp) / self.width
             return phases
-        # gradual and recurring: draw once per position, used inside windows
-        mix = rng.random(n)
-        phases = segment
+        # incremental phases follow the ramp; gradual and recurring ones
+        # step up where one draw per position falls below it
+        mix = None if self.kind == INCREMENTAL else rng.random(n)
         for j, cp in enumerate(points):
             idx = np.arange(cp, cp + self.width)
             ramp = (idx - cp) / self.width
-            phases[idx] = np.where(mix[idx] < ramp, j + 1.0, float(j))
+            phases[idx] = j + (ramp if mix is None else mix[idx] < ramp)
         if self.kind == RECURRING:
             phases = np.mod(phases, self.cycle_length)
         return phases
@@ -129,6 +123,19 @@ def _require_finite(**params):
     for key, value in params.items():
         if not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value!r}")
+
+
+def _check_noise(noise):
+    if not 0.0 <= noise < 0.5:
+        raise ConfigError("label noise must be in [0, 0.5)")
+
+
+def _flip_labels(rng: np.random.Generator, y: np.ndarray, noise: float) -> np.ndarray:
+    """Two-class labels ``y``, each flipped with probability ``noise``; no
+    draw at noise 0."""
+    if noise > 0.0:
+        y = np.where(rng.random(len(y)) < noise, 1 - y, y)
+    return y
 
 
 @dataclass(frozen=True)
@@ -200,8 +207,7 @@ class RotatingHyperplane(ConceptFamily):
         if self.dims < 2:
             raise ConfigError("rotating-hyperplane needs at least 2 dimensions")
         _require_finite(rotation=self.rotation)
-        if not 0.0 <= self.noise < 0.5:
-            raise ConfigError("label noise must be in [0, 0.5)")
+        _check_noise(self.noise)
 
     def sample(self, rng: np.random.Generator, phases: np.ndarray):
         n = len(phases)
@@ -209,10 +215,7 @@ class RotatingHyperplane(ConceptFamily):
         a = phases * self.rotation
         score = x[:, 0] * np.cos(a) + x[:, 1] * np.sin(a)
         y = (score >= 0.0).astype(np.int64)
-        if self.noise > 0.0:
-            flip = rng.random(n) < self.noise
-            y = np.where(flip, 1 - y, y)
-        return x, y
+        return x, _flip_labels(rng, y, self.noise)
 
 
 @dataclass(frozen=True)
@@ -230,8 +233,7 @@ class SeaThresholds(ConceptFamily):
     noise: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.noise < 0.5:
-            raise ConfigError("label noise must be in [0, 0.5)")
+        _check_noise(self.noise)
 
     def sample(self, rng: np.random.Generator, phases: np.ndarray):
         n = len(phases)
@@ -243,10 +245,7 @@ class SeaThresholds(ConceptFamily):
         hi = t[(k + 1) % len(t)]
         thr = lo + frac * (hi - lo)
         y = (x[:, 0] + x[:, 1] <= thr).astype(np.int64)
-        if self.noise > 0.0:
-            flip = rng.random(n) < self.noise
-            y = np.where(flip, 1 - y, y)
-        return x, y
+        return x, _flip_labels(rng, y, self.noise)
 
 
 FAMILIES = {

@@ -18,7 +18,6 @@ from .core import (
     NOMINAL,
     NUMERIC,
     ClassPosterior,
-    ConfigError,
     InvalidPosterior,
     SchemaMismatch,
     StreamSchema,
@@ -569,9 +568,9 @@ class AccuracyWeightedEnsemble:
     after the eviction, one of the members prediction reads (those with
     non-zero weight, or all of them when every weight is zero), so a
     prediction scores every member in one stacked pass. Both passes are
-    bit-identical to scoring each member in turn. The prediction stack
-    is rebuilt at every chunk close and whenever ``members`` is
-    assigned; assign a new list rather than editing it in place.
+    bit-identical to scoring each member in turn. Only a chunk close
+    changes the members, so the prediction stack is rebuilt there and
+    ``members`` is read-only.
 
     The newest member is weighted on the chunk it was just trained on,
     which favours it; Wang et al. (KDD 2003) estimate that member's
@@ -583,7 +582,8 @@ class AccuracyWeightedEnsemble:
 
     def __init__(self, schema: StreamSchema):
         self.schema = schema
-        self.members = []
+        self._members = []
+        self._stack = None
         self._buffer = []
 
     @property
@@ -591,20 +591,10 @@ class AccuracyWeightedEnsemble:
         """[learner, weight] pairs, oldest first; no weight is negative."""
         return self._members
 
-    @members.setter
-    def members(self, members):
-        if any(w < 0.0 for _, w in members):
-            raise ConfigError("member weights must not be negative")
-        self._members = members
-        self._restack()
-
     def _restack(self):
         """Freeze what prediction reads: the stack of the members it
         scores, their weights and the final scale."""
         members = self._members
-        if not members:
-            self._stack = None
-            return
         weights = [w for _, w in members]
         total = ordered_sum(weights)
         if total > 0.0:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import ClassPosterior, draws
+from .core import ClassPosterior, adaptive_step, draws
 
 
 class SelfLabelDecision(NamedTuple):
@@ -71,7 +71,8 @@ class RandomizedAdaptiveConfidence:
     the jittered bar, and adjusts the underlying bar according to the
     jittered outcome. ``noise=0`` gives the plain adaptive rule: every
     accepted self-label raises the bar by ``step`` (0.01) and every
-    rejection lowers it, clamped to [1/classes, 1]. It owns its generator
+    rejection lowers it, clamped to [1/classes, 1]
+    (:func:`~driftlab.core.adaptive_step`). It owns its generator
     and draws in blocks (:func:`~driftlab.core.draws`), even at ``noise=0``.
     """
 
@@ -83,20 +84,9 @@ class RandomizedAdaptiveConfidence:
         self._normal = draws(rng.standard_normal).__next__
 
     def decide(self, posterior: ClassPosterior, run) -> SelfLabelDecision:
-        bar = self.confidence
-        randomized = bar * (1.0 + self.noise * self._normal())
-        if posterior.top_prob >= randomized:
-            train = True
-            updated = bar * (1.0 + self.step)
-        else:
-            train = False
-            updated = bar * (1.0 - self.step)
-        floor = 1.0 / len(posterior.probs)
-        if updated < floor:
-            updated = floor
-        elif updated > 1.0:
-            updated = 1.0
-        self.confidence = updated
+        randomized = self.confidence * (1.0 + self.noise * self._normal())
+        train = posterior.top_prob >= randomized
+        self.confidence = adaptive_step(self.confidence, train, self.step, len(posterior.probs))
         return SelfLabelDecision(train, randomized)
 
 

@@ -1,4 +1,4 @@
-"""Stream sources: CSV/ARFF readers, a CSV writer, and stream specs.
+"""Stream sources: CSV/ARFF readers, a numeric CSV writer, and stream specs.
 
 Both readers materialize the file into a :class:`~driftlab.core.LoadedStream`.
 A CSV stream is numeric: every attribute is numeric and class names are
@@ -245,25 +245,24 @@ def read_arff(path, name=None) -> LoadedStream:
     return LoadedStream(stream_name, schema, instances, {"source": "arff", "path": str(path)})
 
 
-def _format_cell(attr: Attribute, value) -> str:
-    if value is MISSING:
-        return "?"
-    if attr.kind == NOMINAL:
-        return attr.values[value]
-    return repr(float(value))
-
-
 def write_csv(path, stream: LoadedStream) -> None:
-    """Write a stream as CSV under a header row; floats use shortest
-    round-trip formatting."""
+    """Write a numeric stream as CSV under a header row; floats use
+    shortest round-trip formatting. A nominal attribute raises
+    ``SchemaMismatch``, since :func:`read_csv` reads every attribute as
+    numeric; such a stream belongs in ARFF."""
     schema = stream.schema
+    for a in schema.attributes:
+        if a.kind == NOMINAL:
+            raise SchemaMismatch(
+                f"CSV holds numeric attributes only, and {a.name!r} is nominal; write the stream as ARFF"
+            )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([a.name for a in schema.attributes] + ["class"])
         for inst in stream.instances:
             if inst.label is None:
                 raise ValueError("cannot write an instance without a label")
-            row = [_format_cell(a, v) for a, v in zip(schema.attributes, inst.features)]
+            row = ["?" if v is MISSING else repr(float(v)) for v in inst.features]
             row.append(schema.class_names[inst.label])
             writer.writerow(row)
 

@@ -12,6 +12,7 @@ from driftlab.core import (
     DriftLabError,
     InvalidPosterior,
     StreamSchema,
+    adaptive_step,
     ordered_sum,
 )
 
@@ -34,6 +35,33 @@ def test_ordered_sum_adds_left_to_right():
 
 def test_ordered_sum_of_nothing_is_zero():
     assert ordered_sum([]) == 0.0
+
+
+def test_adaptive_step_multiplies_by_one_plus_or_minus_step():
+    assert adaptive_step(0.8, True, 0.01, 2) == 0.8 * (1.0 + 0.01)
+    assert adaptive_step(0.8, False, 0.01, 2) == 0.8 * (1.0 - 0.01)
+    assert adaptive_step(0.5, True, 0.25, 4) == 0.625
+    assert adaptive_step(0.5, False, 0.25, 4) == 0.375
+
+
+def test_adaptive_step_clamps_to_the_class_floor_and_to_one():
+    assert adaptive_step(0.5, False, 0.01, 2) == 0.5
+    assert adaptive_step(0.26, False, 0.1, 4) == 0.25
+    assert adaptive_step(1.0, True, 0.01, 2) == 1.0
+    assert adaptive_step(0.999, True, 0.01, 3) == 1.0
+
+
+@given(
+    st.floats(0.0, 1.0),
+    st.booleans(),
+    st.floats(0.0, 0.5),
+    st.integers(2, 50),
+)
+def test_adaptive_step_stays_in_range(bar, up, step, classes):
+    stepped = adaptive_step(bar, up, step, classes)
+    assert 1.0 / classes <= stepped <= 1.0
+    unclamped = bar * (1.0 + step if up else 1.0 - step)
+    assert stepped == min(max(unclamped, 1.0 / classes), 1.0)
 
 
 def test_attribute_kind_validation():

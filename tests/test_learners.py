@@ -13,7 +13,6 @@ from driftlab.core import (
     NUMERIC,
     Attribute,
     ClassPosterior,
-    ConfigError,
     InvalidPosterior,
     SchemaMismatch,
     StreamSchema,
@@ -39,6 +38,14 @@ def with_constants(learner, **constants):
     """``learner`` with some of its class constants overridden on the instance."""
     vars(learner).update(constants)
     return learner
+
+
+def with_members(awe, members):
+    """``awe`` holding ``members`` ([learner, weight] pairs), restacked as
+    a chunk close leaves it."""
+    awe._members = members
+    awe._restack()
+    return awe
 
 
 class TestHoeffdingBound:
@@ -494,7 +501,7 @@ class TestAccuracyWeightedEnsemble:
         strong = NaiveBayes(NUM2)
         for i in range(50):
             strong.train((float(i % 2 * 10), 0.0), i % 2)
-        awe.members = [[strong, 1.0], [NaiveBayes(NUM2), 0.0]]
+        with_members(awe, [[strong, 1.0], [NaiveBayes(NUM2), 0.0]])
         x = (10.0, 0.0)
         assert awe.predict(x).probs == pytest.approx(strong.predict(x).probs)
 
@@ -503,25 +510,20 @@ class TestAccuracyWeightedEnsemble:
         a, b = NaiveBayes(NUM2), NaiveBayes(NUM2)
         a.train((0.0, 0.0), 0)
         b.train((5.0, 5.0), 1)
-        awe.members = [[a, 0.0], [b, 0.0]]
+        with_members(awe, [[a, 0.0], [b, 0.0]])
         x = (1.0, 1.0)
         expected = [
             (pa + pb) / 2 for pa, pb in zip(a.predict_probs(x), b.predict_probs(x))
         ]
         assert awe.predict(x).probs == pytest.approx(expected)
 
-    def test_negative_member_weight_is_rejected(self):
-        # a positive total would otherwise scale -0.5 x b's posterior into
-        # negative probabilities
-        a, b = NaiveBayes(NUM2), NaiveBayes(NUM2)
-        a.train((0.0, 0.0), 0)
-        b.train((10.0, 0.0), 1)
+    def test_members_cannot_be_assigned(self):
+        # only a chunk close changes the members, and it restacks them
         awe = AccuracyWeightedEnsemble(NUM2)
-        awe.members = [[a, 1.0]]
-        with pytest.raises(ConfigError, match="must not be negative"):
-            awe.members = [[a, 1.0], [b, -0.5]]
-        assert len(awe.members) == 1
-        assert awe.predict((10.0, 0.0)).probs == [1.0, 0.0]
+        with pytest.raises(AttributeError):
+            awe.members = [[NaiveBayes(NUM2), 1.0]]
+        assert awe.members == []
+        assert awe.predict((0.0, 0.0)).probs == [0.5, 0.5]
 
     def test_label_checked_immediately(self):
         awe = AccuracyWeightedEnsemble(NUM2)
@@ -809,7 +811,7 @@ def test_stacked_prediction_matches_per_member_loop(data):
     if data.draw(st.booleans(), label="all weights zero"):
         weights = [0.0] * len(picks)
     awe = AccuracyWeightedEnsemble(MIXED)
-    awe.members = [[models[k], w] for k, w in zip(picks, weights)]
+    with_members(awe, [[models[k], w] for k, w in zip(picks, weights)])
     for features in data.draw(st.lists(probe_instance, min_size=1, max_size=5), label="probes"):
         assert_same_probs(awe, features)
 
@@ -834,22 +836,6 @@ class TestStackedPredictionCases:
         assert awe.members is members and len(members) == 2  # edited in place
         assert assert_same_probs(awe, probe) != before
 
-    def test_predict_then_members_reassigned_then_predict(self):
-        awe = with_constants(AccuracyWeightedEnsemble(MIXED), chunk_size=3)
-        for shift in (0.0, 4.0):
-            for features, label in self._chunk(shift):
-                awe.train(features, label)
-        probe = (2.0, 1, 1.0, 2)
-        before = assert_same_probs(awe, probe)
-        # the same list object, assigned back after editing it
-        members = awe.members
-        members[0] = [members[0][0], 0.0]
-        awe.members = members
-        after = assert_same_probs(awe, probe)
-        assert after != before
-        awe.members = [[members[0][0], 1.0], [members[0][0], 0.5]]  # duplicates
-        assert assert_same_probs(awe, probe) != after
-
     def test_unobserved_attribute_with_an_overflowing_value(self):
         # class 0 never saw x1, so 1e200 adds nothing to it; class 1's
         # squared distance overflows and its score is -inf
@@ -857,7 +843,7 @@ class TestStackedPredictionCases:
         nb.train((0.0, 0, None, 0), 0)
         nb.train((1.0, 1, 2.0, 1), 1)
         awe = AccuracyWeightedEnsemble(MIXED)
-        awe.members = [[nb, 1.0], [nb, 0.5]]
+        with_members(awe, [[nb, 1.0], [nb, 0.5]])
         assert assert_same_probs(awe, (0.0, 0, 1e200, 0)) == [1.0, 0.0, 0.0]
 
     def test_nan_posteriors_match_too(self):
@@ -868,7 +854,7 @@ class TestStackedPredictionCases:
         nb.train((-1e200, 0, 0.0, 0), 0)
         nb.train((3.0, 0, 0.0, 0), 1)
         awe = AccuracyWeightedEnsemble(MIXED)
-        awe.members = [[nb, 1.0]]
+        with_members(awe, [[nb, 1.0]])
         for probe in ((1e200, 0, 0.0, 0), (0.0, 0, 0.0, 0), (1e200, None, None, None)):
             assert_same_probs(awe, probe)
 
@@ -881,7 +867,7 @@ class TestStackedPredictionCases:
         good = NaiveBayes(MIXED)
         good.train((None, 0, 0.0, 0), 1)  # x0 unobserved: 1e200 adds nothing
         awe = AccuracyWeightedEnsemble(MIXED)
-        awe.members = [[broken, 0.0], [good, 0.5]]
+        with_members(awe, [[broken, 0.0], [good, 0.5]])
         assert math.isnan(broken.predict_probs((1e200, 0, 0.0, 0))[0])
         assert assert_same_probs(awe, (1e200, 0, 0.0, 0)) == [0.0, 1.0, 0.0]
 
@@ -889,10 +875,10 @@ class TestStackedPredictionCases:
         trained = NaiveBayes(MIXED)
         trained.train((1.0, 1, 1.0, 1), 2)
         awe = AccuracyWeightedEnsemble(MIXED)
-        awe.members = [[NaiveBayes(MIXED), 0.0], [trained, 0.0]]
+        with_members(awe, [[NaiveBayes(MIXED), 0.0], [trained, 0.0]])
         # all weights zero: the untrained member's uniform posterior counts
         assert assert_same_probs(awe, (1.0, 1, 1.0, 1)) == [1 / 6, 1 / 6, 1 / 6 + 1 / 2]
-        awe.members = [[NaiveBayes(MIXED), 0.25], [trained, 0.0]]
+        with_members(awe, [[NaiveBayes(MIXED), 0.25], [trained, 0.0]])
         assert assert_same_probs(awe, (1.0, 1, 1.0, 1)) == [1 / 3] * 3
 
     def test_scores_add_in_the_scalar_order(self):
@@ -911,7 +897,7 @@ class TestStackedPredictionCases:
         nb._log_vlik[0][1][1] = nb._log_vlik[0][3][2] = 0.0
         nb._log_vlik[1][1][1], nb._log_vlik[1][3][2] = u0, u1
         awe = AccuracyWeightedEnsemble(MIXED)
-        awe.members = [[nb, 1.0]]
+        with_members(awe, [[nb, 1.0]])
         assert assert_same_probs(awe, (d0, 1, d1, 2)) == [0.5, 0.5, 0.0]
 
 

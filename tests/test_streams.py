@@ -159,21 +159,31 @@ class TestReadCsv:
 
 
 class TestWriteCsv:
-    def test_writes_nominal_cells_by_name(self, tmp_path):
-        rows = [
-            Instance((21.5, 0), label=1),
-            Instance((MISSING, 1), label=0),
-            Instance((-3.25e-5, MISSING), label=1),
-        ]
+    def test_rejects_nominal_attributes(self, tmp_path):
+        # read_csv would read the category names back as missing numbers
+        rows = [Instance((21.5, 0), label=1), Instance((MISSING, 1), label=0)]
         stream = LoadedStream("w", MIXED_SCHEMA, rows, {})
         p = tmp_path / "out.csv"
-        write_csv(p, stream)
+        with pytest.raises(SchemaMismatch, match="'sky' is nominal; write the stream as ARFF"):
+            write_csv(p, stream)
+        assert not p.exists()
+
+    def test_writes_numeric_cells_in_shortest_form(self, tmp_path):
+        schema = StreamSchema((Attribute("temp", NUMERIC), Attribute("wind", NUMERIC)), ("go", "stay"))
+        rows = [
+            Instance((21.5, 0.0), label=0),
+            Instance((MISSING, 1e300), label=1),
+            Instance((-3.25e-5, MISSING), label=0),
+        ]
+        p = tmp_path / "out.csv"
+        write_csv(p, LoadedStream("w", schema, rows, {}))
         assert p.read_bytes().decode() == (
-            "temp,sky,class\r\n21.5,clear,go\r\n?,cloudy,stay\r\n-3.25e-05,?,go\r\n"
+            "temp,wind,class\r\n21.5,0.0,go\r\n?,1e+300,stay\r\n-3.25e-05,?,go\r\n"
         )
 
     def test_rejects_unlabeled(self, tmp_path):
-        stream = LoadedStream("w", MIXED_SCHEMA, [Instance((1.0, 0))], {})
+        schema = StreamSchema((Attribute("temp", NUMERIC),), ("go", "stay"))
+        stream = LoadedStream("w", schema, [Instance((1.0,))], {})
         with pytest.raises(ValueError):
             write_csv(tmp_path / "out.csv", stream)
 
