@@ -23,11 +23,7 @@ from .streams import parse_stream_spec, write_csv
 
 
 def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _write_series(path, records):

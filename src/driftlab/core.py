@@ -97,13 +97,13 @@ class StreamSchema:
 class Instance:
     """One stream element: a feature tuple plus the hidden true label index.
 
-    The label rides along for prequential scoring; the learning pipeline
-    only sees it when the orchestrator decides to pay for it.
+    The label rides along for prequential scoring (a :class:`LoadedStream`
+    rejects ``None``); learning sees it only once it is bought.
     """
 
     __slots__ = ("features", "label")
 
-    def __init__(self, features, label=None):
+    def __init__(self, features, label):
         self.features = features
         self.label = label
 
@@ -115,15 +115,25 @@ class Instance:
 class LoadedStream:
     """A fully materialized stream: schema, ordered instances, provenance.
 
-    Materializing keeps reruns trivially re-iterable (grids replay the
-    same stream many times) at desk scale; metadata echoes where the
-    instances came from (file path or generator settings).
+    Grids replay one stream many times, so it is materialized; metadata
+    echoes its source (file path or generator settings). It has at least
+    one instance, each labeled: checked here once, so consumers trust it.
     """
 
     name: str
     schema: StreamSchema
     instances: list
     metadata: dict
+
+    def __post_init__(self):
+        if not self.instances:
+            raise SchemaMismatch(f"stream {self.name!r} has no instances")
+        for position, instance in enumerate(self.instances, start=1):
+            if instance.label is None:
+                raise SchemaMismatch(
+                    f"stream {self.name!r} instance {position} has no label;"
+                    " prequential runs need fully labeled streams"
+                )
 
     def __len__(self):
         return len(self.instances)

@@ -21,7 +21,7 @@ from .core import ordered_sum
 
 class PrequentialWindow:
     """Sliding-window 0/1 loss tracker with an exact running sum; the
-    window length (at least 1) is checked by ``HybridConfig``."""
+    window (``HybridConfig``'s, >= 1) and the runner's 0/1 losses are trusted."""
 
     def __init__(self, window: int):
         self.window = window
@@ -29,8 +29,6 @@ class PrequentialWindow:
         self._sum = 0
 
     def update(self, loss) -> None:
-        if loss not in (0, 1):
-            raise ValueError("prequential loss must be 0 or 1")
         if len(self._losses) == self.window:
             self._sum -= self._losses[0]
         self._losses.append(loss)

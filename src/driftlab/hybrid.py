@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConfigError, Instance, LoadedStream, SchemaMismatch, StreamSchema
+from .core import ConfigError, Instance, LoadedStream, StreamSchema
 from .active import RandomizedVariableUncertainty, RandomQuery, SamplingQuery
 from .drift import DdmDetector, EddmDetector
 from .evaluation import PrequentialWindow
@@ -311,16 +311,9 @@ def step_records(stream: LoadedStream, runner: HybridRunner, stride: int):
     all). Nothing is kept, so a run's memory does not grow with its
     length; ``runner.summary`` holds the totals once this is spent.
     """
-    if len(stream.instances) == 0:
-        raise SchemaMismatch(f"stream {stream.name!r} has no instances")
     if stride < 0:
         raise ConfigError("record stride must be nonnegative")
     for position, instance in enumerate(stream.instances, start=1):
-        if instance.label is None:
-            raise ConfigError(
-                f"stream {stream.name!r} instance {position} has no label;"
-                " prequential runs need fully labeled streams"
-            )
         want = bool(stride) and position % stride == 0
         record = runner.process_instance(instance, want_record=want)
         if want:

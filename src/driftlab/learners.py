@@ -49,8 +49,9 @@ class NaiveBayes:
     deviations) per class, updated by the single-pass moment recurrence;
     the class-conditional density is a Gaussian with variance M2/n,
     floored at ``VARIANCE_FLOOR``. Nominal attributes keep per-category
-    counts with additive smoothing (count + lam) / (total + lam *
-    cardinality), lam = ``smoothing`` (add-one). Missing values leave the
+    counts with additive smoothing (count + lam) / (n + lam * cardinality),
+    lam = ``smoothing`` (add-one). ``_n[y][j]`` counts class y's observed
+    values of attribute j, of either kind. Missing values leave the
     attribute's statistics untouched on train and contribute no
     likelihood factor on predict. A class that has observed no values of
     some numeric attribute contributes a neutral factor for it.
@@ -85,7 +86,6 @@ class NaiveBayes:
         self._vcounts = [
             {j: [0] * self._cards[j] for j in self._nominal} for _ in range(c)
         ]
-        self._vtotals = [{j: 0 for j in self._nominal} for _ in range(c)]
         self._log_vlik = [
             {
                 j: [math.log(self.smoothing / (self.smoothing * self._cards[j]))]
@@ -119,13 +119,12 @@ class NaiveBayes:
             means[j] = mean = means[j] + delta / n
             m2s[j] += delta * (v - mean)
         counts = self._vcounts[label]
-        totals = self._vtotals[label]
         for j in self._nominal:
             v = features[j]
             if v is MISSING:
                 continue
             counts[j][v] += 1
-            totals[j] += 1
+            ns[j] += 1
 
     def _derive(self, label):
         """Rebuild class ``label``'s log prior, Gaussian terms and smoothed
@@ -147,10 +146,9 @@ class NaiveBayes:
             inv2[j] = 0.5 / var
         lam = self.smoothing
         counts = self._vcounts[label]
-        totals = self._vtotals[label]
         liks = self._log_vlik[label]
         for j in self._nominal:
-            total = totals[j]
+            total = ns[j]
             if total == 0:
                 continue
             log_denom = math.log(total + lam * self._cards[j])
@@ -407,7 +405,7 @@ class HoeffdingTree:
         n = sum(value_totals)
         if n <= 0:
             return None
-        class_totals = [sum(value_counts[v][y] for v in range(card)) for y in range(c)]
+        class_totals = [leaf.nb._n[y][j] for y in range(c)]
         gain = _entropy(class_totals, n)
         for v in range(card):
             if value_totals[v] > 0:

@@ -260,8 +260,6 @@ def write_csv(path, stream: LoadedStream) -> None:
         writer = csv.writer(fh)
         writer.writerow([a.name for a in schema.attributes] + ["class"])
         for inst in stream.instances:
-            if inst.label is None:
-                raise ValueError("cannot write an instance without a label")
             row = ["?" if v is MISSING else repr(float(v)) for v in inst.features]
             row.append(schema.class_names[inst.label])
             writer.writerow(row)

@@ -10,7 +10,10 @@ from driftlab.core import (
     Attribute,
     ClassPosterior,
     DriftLabError,
+    Instance,
     InvalidPosterior,
+    LoadedStream,
+    SchemaMismatch,
     StreamSchema,
     adaptive_step,
     ordered_sum,
@@ -109,6 +112,20 @@ def test_schema_counts():
     schema = two_class_schema()
     assert schema.class_count == 2
     assert schema.n_attributes == 2
+
+
+class TestLoadedStream:
+    def test_rejects_no_instances(self):
+        with pytest.raises(SchemaMismatch, match="^stream 'e' has no instances$"):
+            LoadedStream("e", two_class_schema(), [], {})
+
+    def test_rejects_an_unlabeled_instance_by_position(self):
+        rows = [Instance((0.5, 0), 1), Instance((1.5, 2), None), Instance((2.5, 1), 0)]
+        with pytest.raises(
+            SchemaMismatch,
+            match="^stream 'u' instance 2 has no label; prequential runs need fully labeled streams$",
+        ):
+            LoadedStream("u", two_class_schema(), rows, {})
 
 
 class TestClassPosterior:

@@ -433,19 +433,17 @@ class TestBudgetSafety:
 
 class TestRunStream:
     def test_empty_stream_rejected(self):
-        empty = LoadedStream(name="e", schema=SCHEMA, instances=[], metadata={})
         with pytest.raises(SchemaMismatch, match="stream 'e' has no instances"):
-            run_stream(empty, HybridConfig(learner="nb", active="randvar"))
+            LoadedStream(name="e", schema=SCHEMA, instances=[], metadata={})
 
     def test_unlabeled_instance_rejected(self):
-        bad = LoadedStream(
-            name="u",
-            schema=SCHEMA,
-            instances=[Instance((0.0, 0.0), None)],
-            metadata={},
-        )
-        with pytest.raises(ConfigError, match="label"):
-            run_stream(bad, HybridConfig(learner="nb", active="randvar"))
+        with pytest.raises(SchemaMismatch, match="label"):
+            LoadedStream(
+                name="u",
+                schema=SCHEMA,
+                instances=[Instance((0.0, 0.0), None)],
+                metadata={},
+            )
 
     def test_negative_stride_rejected(self):
         stream = toy_stream([0, 1])

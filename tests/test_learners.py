@@ -575,7 +575,7 @@ def nb_state(nb):
     """Every count, moment and derived table of a Naive Bayes model."""
     return (
         nb.class_counts, nb.trained, nb._log_prior, nb._n, nb._mean, nb._m2,
-        nb._log_norm, nb._inv2var, nb._vcounts, nb._vtotals, nb._log_vlik,
+        nb._log_norm, nb._inv2var, nb._vcounts, nb._log_vlik,
     )
 
 

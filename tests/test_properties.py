@@ -106,6 +106,20 @@ def test_posteriors_are_distributions(stream, name):
         assert may_overflow(instances)
 
 
+@settings(max_examples=60, deadline=None)
+@given(streams())
+def test_nominal_totals_are_the_category_counts(stream):
+    # one count per class and attribute: a nominal attribute's n is the
+    # total of its category counts, which split scoring and smoothing read
+    schema, instances = stream
+    nb = NaiveBayes(schema)
+    for instance in instances:
+        nb.train(instance.features, instance.label)
+    for y in range(schema.class_count):
+        for j in nb._nominal:
+            assert nb._n[y][j] == sum(nb._vcounts[y][j])
+
+
 def configs():
     return st.builds(
         HybridConfig,

@@ -22,7 +22,6 @@ from driftlab import cli
 SETTABLE_VALUES = [
     "cli.main(argv)",
     "core.Attribute.__init__(values)",
-    "core.Instance.__init__(label)",
     "driftlab compare --al",
     "driftlab compare --budgets",
     "driftlab compare --jobs",
@@ -125,7 +124,7 @@ def cli_flags():
 
 def test_settable_values_are_exactly_the_inventory():
     assert sorted(code_settings() + cli_flags()) == SETTABLE_VALUES
-    assert len(SETTABLE_VALUES) == 57
+    assert len(SETTABLE_VALUES) == 56
 
 
 # Every flag of every subcommand changes some output it computes, or is

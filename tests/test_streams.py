@@ -182,10 +182,12 @@ class TestWriteCsv:
         )
 
     def test_rejects_unlabeled(self, tmp_path):
+        # the stream is refused when it is built, so no partial file is left
         schema = StreamSchema((Attribute("temp", NUMERIC),), ("go", "stay"))
-        stream = LoadedStream("w", schema, [Instance((1.0,))], {})
-        with pytest.raises(ValueError):
-            write_csv(tmp_path / "out.csv", stream)
+        rows = [Instance((1.0,), label=0), Instance((2.0,), label=None)]
+        with pytest.raises(SchemaMismatch, match="instance 2 has no label"):
+            write_csv(tmp_path / "out.csv", LoadedStream("w", schema, rows, {}))
+        assert list(tmp_path.iterdir()) == []
 
     def test_generated_stream_round_trip(self, tmp_path):
         prof = DriftProfile("sudden", (50,))
